@@ -39,12 +39,10 @@ use ccsim_workload::ParamError;
 /// scheduling; for deterministic failures use a per-run [`RunBudget`].
 ///
 /// The counter is a lock-free atomic, so [`EventPool::depleted`] admission
-/// checks and in-flight charges are safe from any thread — including the
-/// engine's window-parallel worker lanes, which observe the pool while the
-/// merge thread charges it. Charges keep the sequential loop's exact
-/// 8192-event cadence in window mode, so a budget stop lands on the same
-/// event at any worker count (the sequential hot path itself polls a plain
-/// `u64` and only touches the atomic at block boundaries).
+/// checks and in-flight charges are safe from any thread: the sweep
+/// service runs a client's jobs concurrently against one shared pool. The
+/// engine's hot path polls a plain `u64` and only touches the atomic at
+/// block boundaries.
 #[derive(Debug, Clone)]
 pub struct EventPool {
     remaining: Arc<AtomicU64>,
@@ -320,8 +318,8 @@ mod tests {
 
     #[test]
     fn event_pool_charges_exactly_under_contention() {
-        // The worker-lane safety contract: concurrent block charges from
-        // many threads are all-or-nothing and never lose or double-spend
+        // The shared-pool safety contract: concurrent block charges from
+        // many runs are all-or-nothing and never lose or double-spend
         // events. 8 threads race to drain a pool holding exactly 500
         // blocks; exactly 500 charges must succeed.
         const BLOCKS: u64 = 500;

@@ -126,14 +126,10 @@ pub struct SimConfig {
     /// per tenant so a client's total simulated work is bounded across
     /// runs.
     pub event_pool: Option<crate::EventPool>,
-    /// Worker threads for the speculative window-parallel engine mode.
-    /// `0` and `1` both mean fully sequential (no pool is spawned, no
-    /// atomics touched — the mode costs nothing when off). At `N >= 2`
-    /// the loop pops safe time windows, speculates chunk prefetch/hint
-    /// work on `N - 1` helper threads plus the merge thread, and merges
-    /// serially in global-seq order; reports, streaming quantiles, and
-    /// golden traces are byte-identical to sequential at any `N`.
-    pub workers: u32,
+    /// Requested engine threads per run, kept only so that
+    /// [`SimConfig::with_workers`] callers are checked: the engine is
+    /// sequential, so [`SimConfig::validate`] rejects anything above 1.
+    workers: u32,
 }
 
 impl SimConfig {
@@ -217,8 +213,10 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style worker-count replacement (see [`SimConfig::workers`]).
-    /// `0` and `1` both select the sequential loop.
+    /// Compatibility shim for callers that pin the engine thread count.
+    /// The engine runs every simulation on one thread: `0` and `1` are
+    /// accepted, and any larger count makes [`SimConfig::validate`] fail
+    /// rather than silently running sequentially.
     #[must_use]
     pub fn with_workers(mut self, workers: u32) -> Self {
         self.workers = workers;
@@ -228,8 +226,15 @@ impl SimConfig {
     /// Validate the whole configuration.
     ///
     /// # Errors
-    /// Returns [`ParamError`] from parameter or metrics validation.
+    /// Returns [`ParamError`] from parameter or metrics validation, or
+    /// when more than one engine worker was requested.
     pub fn validate(&self) -> Result<(), ParamError> {
+        if self.workers > 1 {
+            return Err(ParamError(format!(
+                "workers = {}: the engine is single-threaded (use 1)",
+                self.workers
+            )));
+        }
         self.params.validate()?;
         self.metrics.validate()
     }
@@ -275,6 +280,17 @@ mod tests {
         assert_eq!(c.budget, RunBudget::default());
         let c = c.with_budget(RunBudget::unlimited().with_max_events(7));
         assert_eq!(c.budget.max_events, Some(7));
+    }
+
+    #[test]
+    fn more_than_one_worker_is_rejected() {
+        let c = SimConfig::new(CcAlgorithm::Blocking);
+        assert!(c.clone().with_workers(1).validate().is_ok());
+        let err = c
+            .with_workers(2)
+            .validate()
+            .expect_err("2 workers rejected");
+        assert!(err.to_string().contains("workers = 2"), "{err}");
     }
 
     #[test]

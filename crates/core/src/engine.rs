@@ -12,15 +12,11 @@
 //! diagnostic that needs no recompilation. For structured per-transaction
 //! tracing use [`run_with_trace`] instead.
 
-use std::cell::UnsafeCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
 
 use ccsim_des::{
-    sample_exponential, Calendar, CalendarStats, ExpBlock, ExpRefill, Exponential, RngStreams,
-    SimDuration, SimTime, UniformBlock, Xoshiro256StarStar,
+    sample_exponential, Calendar, CalendarStats, ExpBlock, Exponential, RngStreams, SimDuration,
+    SimTime, UniformBlock, Xoshiro256StarStar,
 };
 use ccsim_history::{CommittedTxn, History};
 use ccsim_lockmgr::{Grant, LockManager, LockMode, RequestOutcome};
@@ -40,10 +36,6 @@ use crate::arena::TxnArena;
 use crate::budget::{BudgetKind, RunError};
 use crate::config::SimConfig;
 use crate::metrics::{Metrics, Report};
-use crate::parallel::{
-    self, decode_hint, ParallelStats, SpecView, WindowShared, HINT_CONFLICT, HINT_NONE, HINT_STALE,
-    MAX_LANES, WINDOW_CAP,
-};
 use crate::profiler::{Stage, StageProfile, StageProfiler};
 use crate::sink::{CenterFlow, EventSink, FlowStats};
 use crate::trace::{Trace, TraceEvent};
@@ -59,22 +51,22 @@ mod streams {
 
 /// Payload carried through the resource pools: terminal index + attempt
 /// epoch (stale completions are dropped by epoch comparison).
-pub(crate) type Payload = (usize, u32);
+type Payload = (usize, u32);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ServiceKind {
+enum ServiceKind {
     Cpu,
     Io,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DelayKind {
+enum DelayKind {
     IntThink,
     Restart,
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Event {
+enum Event {
     /// A terminal submits a new transaction.
     Arrive(usize),
     /// A CPU server finished its current request.
@@ -108,41 +100,6 @@ pub(crate) enum Event {
     Delay(usize, u32, DelayKind),
     /// A batch boundary.
     BatchEnd,
-}
-
-/// A mid-merge schedule landing *inside* the already-popped window: the
-/// calendar's clock has advanced to the window end, so these are held in a
-/// local min-heap keyed by `(at, seq)` and drained strictly before any
-/// planned event at a later instant. `seq` is a merge-local monotone
-/// counter: two overlay events at one instant deliver in schedule order,
-/// exactly as the calendar's FIFO tie-break would have delivered them —
-/// and a planned event always wins a time tie against an overlay event
-/// because its calendar sequence number predates any mid-merge schedule.
-#[derive(Debug, Clone, Copy)]
-struct OverlayEntry {
-    at: SimTime,
-    seq: u64,
-    ev: Event,
-}
-
-impl PartialEq for OverlayEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-
-impl Eq for OverlayEntry {}
-
-impl PartialOrd for OverlayEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OverlayEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// Why a transaction is being aborted.
@@ -252,22 +209,6 @@ pub struct Simulator {
     /// every call site an empty inline body unless the `stage-profiler`
     /// feature is on, so the steady-state loop normally carries none of it.
     prof: StageProfiler,
-    /// True while the window-parallel merge loop owns a popped window;
-    /// sequential runs never set it, so [`Simulator::sched`] stays one
-    /// predictable branch.
-    win_active: bool,
-    /// End instant of the owned window (the last planned event's time).
-    win_end: SimTime,
-    /// Mid-merge schedules landing inside the owned window (see
-    /// [`OverlayEntry`]); empty outside window merges.
-    overlay: BinaryHeap<Reverse<OverlayEntry>>,
-    /// Monotone tie-break counter for overlay pushes.
-    overlay_seq: u64,
-    /// Speculatively precomputed external-think refill awaiting its dry
-    /// point; installation self-validates against the live stream state.
-    pending_refill: Option<ExpRefill>,
-    /// Window-parallel counters (`Some` only when `workers >= 2` ran).
-    par: Option<ParallelStats>,
 }
 
 /// Engine-level performance counters for a completed (or budget-stopped)
@@ -291,12 +232,6 @@ pub struct PerfStats {
     pub elided_cpu_hops: u64,
     /// Disk request/dispatch hops elided by the idle-server fast path.
     pub elided_disk_hops: u64,
-    /// Window-parallel counters; `None` for sequential runs (`workers`
-    /// 0/1). Note the diagnostic calendar counters above (peaks,
-    /// schedule/pop splits) legitimately differ between sequential and
-    /// window runs — windows pop eagerly — while `events`, every report,
-    /// and every trace stay byte-identical.
-    pub parallel: Option<ParallelStats>,
 }
 
 impl PerfStats {
@@ -400,12 +335,6 @@ impl Simulator {
             elided_disk: 0,
             run_wall: std::time::Duration::ZERO,
             prof: StageProfiler::new(),
-            win_active: false,
-            win_end: SimTime::ZERO,
-            overlay: BinaryHeap::new(),
-            overlay_seq: 0,
-            pending_refill: None,
-            par: None,
             cfg,
         })
     }
@@ -461,14 +390,6 @@ impl Simulator {
     const WALL_CHECK_PERIOD: u64 = 8192;
 
     fn run_loop(&mut self) -> Result<(), RunError> {
-        if self.cfg.workers >= 2 {
-            self.run_loop_window()
-        } else {
-            self.run_loop_seq()
-        }
-    }
-
-    fn run_loop_seq(&mut self) -> Result<(), RunError> {
         let budget = self.cfg.budget;
         let pool = self.cfg.event_pool.clone();
         // Events charged to the shared pool ahead of processing; the
@@ -535,418 +456,25 @@ impl Simulator {
             self.prof.switch(Stage::Pop);
         };
         self.prof.stop();
-        if let Some(p) = &pool {
-            // Settle: refund the pre-charged events that never ran (or
-            // charge the tail that ran past the last block boundary).
-            if pool_charged > self.events {
-                p.refund(pool_charged - self.events);
-            } else if self.events > pool_charged && !p.try_charge(self.events - pool_charged) {
-                // The tail overdraws an exhausted pool: drain what's left
-                // so `consumed` never exceeds the pool's capacity.
-                let _ = p.try_charge(p.remaining());
-            }
-        }
+        self.settle_pool(pool.as_ref(), pool_charged);
         self.run_wall = started.elapsed();
         result
     }
 
-    /// Settle the shared event pool at loop exit: refund pre-charged
+    /// Settle the shared event pool at loop exit: refund the pre-charged
     /// events that never ran, or charge the tail that ran past the last
-    /// block boundary (draining an exhausted pool rather than overdrawing
-    /// it).
-    fn settle_pool(&self, pool: &Option<crate::EventPool>, pool_charged: u64) {
-        if let Some(p) = pool {
-            if pool_charged > self.events {
-                p.refund(pool_charged - self.events);
-            } else if self.events > pool_charged && !p.try_charge(self.events - pool_charged) {
-                let _ = p.try_charge(p.remaining());
-            }
-        }
-    }
-
-    /// The smallest positive service/think delta: an event handled at `t`
-    /// never schedules consequences earlier than `t` plus a drawn delay or
-    /// service, so a window bounded by this lookahead stays dense in
-    /// immediately runnable events without over-popping the far future.
-    /// (Correctness never depends on the bound — the overlay heap delivers
-    /// any mid-merge schedule that lands inside the window in exact
-    /// sequential order — it is purely a speculation-quality knob.)
-    fn window_lookahead(&self) -> SimDuration {
-        let p = &self.cfg.params;
-        let mut lk = SimDuration::ZERO;
-        for d in [
-            p.obj_cpu,
-            p.obj_io,
-            p.cc_cpu,
-            p.ext_think_time,
-            p.int_think_time,
-        ] {
-            if !d.is_zero() && (lk.is_zero() || d < lk) {
-                lk = d;
-            }
-        }
-        if lk.is_zero() {
-            lk = SimDuration::from_micros(64);
-        }
-        lk
-    }
-
-    /// The speculative window-parallel loop (`workers >= 2`). Pops a safe
-    /// time window of events, publishes a frozen view to worker lanes for
-    /// read-only prefetch/hint speculation, then applies every event
-    /// serially in global-seq order — so delivery order, and therefore
-    /// every report, streaming quantile, and golden trace, is
-    /// byte-identical to [`Simulator::run_loop_seq`] at any worker count.
-    /// See `crate::parallel` for the window protocol.
-    fn run_loop_window(&mut self) -> Result<(), RunError> {
-        let budget = self.cfg.budget;
-        let pool = self.cfg.event_pool.clone();
-        let mut pool_charged: u64 = 0;
-        let started = std::time::Instant::now();
-        self.prime();
-        let lanes = (self.cfg.workers as usize).min(MAX_LANES);
-        let helpers = lanes.saturating_sub(1);
-        let chaos = std::env::var("CCSIM_CHAOS").is_ok_and(|v| v == "worker-panic");
-        self.par = Some(ParallelStats {
-            workers: self.cfg.workers,
-            ..ParallelStats::default()
-        });
-        let lookahead = self.window_lookahead();
-        let mut planned: Vec<(SimTime, Event)> = Vec::with_capacity(WINDOW_CAP);
-        let hints: Vec<AtomicU64> = (0..WINDOW_CAP).map(|_| AtomicU64::new(0)).collect();
-        let refill_cell: UnsafeCell<Option<ExpRefill>> = UnsafeCell::new(None);
-        let shared = WindowShared::new();
-        self.prof.start(Stage::Speculate);
-        let result = {
-            let shared = &shared;
-            let scope_result = crossbeam::thread::scope(|s| {
-                for lane in 1..=helpers {
-                    s.spawn(move |_| parallel::worker_loop(shared, lane, chaos && lane == 1));
-                }
-                let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    self.window_loop(
-                        shared,
-                        &hints,
-                        &refill_cell,
-                        &mut planned,
-                        lookahead,
-                        budget,
-                        &pool,
-                        &mut pool_charged,
-                        started,
-                    )
-                }));
-                // Stop the lanes whether the merge finished or panicked —
-                // a panicking merge thread must not leave workers spinning
-                // (the scope would join forever).
-                shared.stop.store(true, Ordering::SeqCst);
-                match r {
-                    Ok(r) => r,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            });
-            match scope_result {
-                Ok(r) => r,
-                // A panic anywhere in the scope (merge or a lane that
-                // somehow escaped its catch-unwind) propagates: the sweep
-                // supervisor turns it into a typed per-point failure hole.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
+    /// block boundary.
+    fn settle_pool(&self, pool: Option<&crate::EventPool>, pool_charged: u64) {
+        let Some(p) = pool else {
+            return;
         };
-        // The per-window check catches a lane dying mid-run; this one
-        // catches a lane that died while no window was open (results are
-        // still exact — speculation is advisory — but a silently dead
-        // lane is silently degraded throughput, so it is loud).
-        if shared.poisoned.load(Ordering::SeqCst) {
-            panic!("window-parallel worker lane panicked");
+        if pool_charged > self.events {
+            p.refund(pool_charged - self.events);
+        } else if self.events > pool_charged && !p.try_charge(self.events - pool_charged) {
+            // The tail overdraws an exhausted pool: drain what's left so
+            // `consumed` never exceeds the pool's capacity.
+            let _ = p.try_charge(p.remaining());
         }
-        self.prof.stop();
-        self.settle_pool(&pool, pool_charged);
-        self.run_wall = started.elapsed();
-        if let Some(p) = self.par.as_mut() {
-            for lane in 0..MAX_LANES {
-                p.worker_busy_us[lane] = shared.busy_ns[lane].load(Ordering::Relaxed) / 1_000;
-            }
-            p.loop_wall_us = self.run_wall.as_micros() as u64;
-        }
-        result
-    }
-
-    /// One full plan → speculate → merge cycle per iteration, until the
-    /// run completes or a budget trips.
-    #[allow(clippy::too_many_arguments)]
-    fn window_loop(
-        &mut self,
-        shared: &WindowShared,
-        hints: &[AtomicU64],
-        refill_cell: &UnsafeCell<Option<ExpRefill>>,
-        planned: &mut Vec<(SimTime, Event)>,
-        lookahead: SimDuration,
-        budget: crate::RunBudget,
-        pool: &Option<crate::EventPool>,
-        pool_charged: &mut u64,
-        started: std::time::Instant,
-    ) -> Result<(), RunError> {
-        loop {
-            if self.done {
-                return Ok(());
-            }
-            // ---- Plan: pop a bounded window off the calendar. The window
-            // always terminates at a batch boundary if one falls inside
-            // it, so `done` can only become true on a window's last event.
-            planned.clear();
-            let Some(t0) = self.cal.peek_time() else {
-                return Ok(());
-            };
-            let horizon = t0 + lookahead;
-            while planned.len() < WINDOW_CAP {
-                let Some(t) = self.cal.peek_time() else {
-                    break;
-                };
-                if !planned.is_empty() && t > horizon {
-                    break;
-                }
-                let (t, ev) = self.cal.pop().expect("peeked event exists");
-                let batch_end = matches!(ev, Event::BatchEnd);
-                planned.push((t, ev));
-                if batch_end {
-                    break;
-                }
-            }
-            let n = planned.len();
-            debug_assert!(n > 0, "peeked a non-empty calendar");
-            // ---- Speculate: publish the frozen view, help claim chunks,
-            // then quiesce so no lane touches the view past this phase.
-            for h in &hints[..n] {
-                h.store(0, Ordering::Relaxed);
-            }
-            let mut view = SpecView {
-                planned: planned.as_ptr(),
-                n,
-                hints: hints.as_ptr(),
-                arena: &self.arena,
-                lockmgr: &self.lockmgr,
-                cpus: &self.cpus,
-                disks: &self.disks,
-                algorithm: self.cfg.algorithm,
-                ext_think: &self.ext_think,
-                think_rng: &self.think_rng,
-                refill: refill_cell,
-            };
-            shared.publish(&mut view, n.div_ceil(parallel::CHUNK));
-            parallel::run_chunks(shared, 0);
-            shared.close();
-            shared.quiesce();
-            if shared.poisoned.load(Ordering::SeqCst) {
-                // Engine state is still consistent (speculation is
-                // read-only), but a dead lane breaks the mode's contract;
-                // surface it for the supervisor's typed failure holes.
-                panic!("window-parallel worker lane panicked");
-            }
-            // SAFETY: quiesced — no lane can touch the refill cell now.
-            if let Some(r) = unsafe { (*refill_cell.get()).take() } {
-                self.pending_refill = Some(r);
-            }
-            // ---- Merge: apply serially in global-seq order.
-            self.prof.switch(Stage::Merge);
-            self.win_active = true;
-            self.win_end = planned[n - 1].0;
-            if let Some(p) = self.par.as_mut() {
-                p.windows += 1;
-                p.planned += n as u64;
-            }
-            let mut res = Ok(());
-            'window: for i in 0..n {
-                let (t, ev) = planned[i];
-                // Drain overlay events strictly before this instant (the
-                // planned event wins time ties: its calendar sequence
-                // number predates any mid-merge schedule).
-                loop {
-                    let due = matches!(self.overlay.peek(), Some(Reverse(top)) if top.at < t);
-                    if !due {
-                        break;
-                    }
-                    let e = self.overlay.pop().expect("peeked overlay entry").0;
-                    if let Some(p) = self.par.as_mut() {
-                        p.overlay_events += 1;
-                    }
-                    if let Err(err) = self.merge_one(
-                        e.at,
-                        e.ev,
-                        Stage::Handle,
-                        budget,
-                        pool,
-                        pool_charged,
-                        started,
-                        shared,
-                    ) {
-                        res = Err(err);
-                        break 'window;
-                    }
-                }
-                // Validate the speculation hint against live state; a
-                // stale or conflict-demoted hint means the prefetch work
-                // is discarded and the event replays through the normal
-                // serial handler (which is why the trajectory is exact).
-                let (kind, hterm, hepoch) = decode_hint(hints[i].load(Ordering::Relaxed));
-                let fresh = match kind {
-                    HINT_NONE => None,
-                    HINT_STALE | HINT_CONFLICT => Some(false),
-                    _ => Some(self.arena.get(hterm).is_some_and(|txn| txn.epoch == hepoch)),
-                };
-                if let Some(p) = self.par.as_mut() {
-                    if kind == HINT_CONFLICT {
-                        p.conflicts += 1;
-                    }
-                    match fresh {
-                        None => {}
-                        Some(true) => {
-                            p.speculated += 1;
-                            p.applied += 1;
-                        }
-                        Some(false) => {
-                            p.speculated += 1;
-                            p.rolled_back += 1;
-                            p.replayed += 1;
-                        }
-                    }
-                }
-                let stage = if fresh == Some(false) {
-                    Stage::Rollback
-                } else {
-                    Stage::Handle
-                };
-                if let Err(err) =
-                    self.merge_one(t, ev, stage, budget, pool, pool_charged, started, shared)
-                {
-                    res = Err(err);
-                    break 'window;
-                }
-            }
-            self.win_active = false;
-            if res.is_err() {
-                // Unapplied planned/overlay events die with the run; the
-                // budget error already carries the exact sequential stop
-                // point.
-                self.overlay.clear();
-                self.prof.switch(Stage::Speculate);
-                return res;
-            }
-            debug_assert!(
-                self.overlay.is_empty(),
-                "overlay fully drained at window end"
-            );
-            self.prof.switch(Stage::Speculate);
-        }
-    }
-
-    /// Apply one event inside a window merge, replicating the sequential
-    /// loop's per-event budget discipline exactly — same check order, same
-    /// counters, same pool-charge cadence — so budget stops are
-    /// byte-identical to [`Simulator::run_loop_seq`].
-    #[allow(clippy::too_many_arguments)]
-    fn merge_one(
-        &mut self,
-        now: SimTime,
-        ev: Event,
-        stage: Stage,
-        budget: crate::RunBudget,
-        pool: &Option<crate::EventPool>,
-        pool_charged: &mut u64,
-        started: std::time::Instant,
-        shared: &WindowShared,
-    ) -> Result<(), RunError> {
-        self.events += 1;
-        let events = self.events;
-        let exceeded = if budget.max_events.is_some_and(|cap| events > cap) {
-            Some(BudgetKind::Events)
-        } else if budget
-            .max_sim_time
-            .is_some_and(|cap| now.since(SimTime::ZERO) > cap)
-        {
-            Some(BudgetKind::SimTime)
-        } else if events % Self::WALL_CHECK_PERIOD == 1 {
-            // Same cadence as the sequential loop; additionally mirror the
-            // count into the shared atomic so worker lanes can observe run
-            // progress (the engine's own counter stays a plain u64).
-            shared.events_mirror.store(events, Ordering::Relaxed);
-            if budget
-                .max_wall_clock
-                .is_some_and(|cap| started.elapsed() > cap)
-            {
-                Some(BudgetKind::WallClock)
-            } else if let Some(p) = pool {
-                if p.try_charge(crate::EventPool::BLOCK) {
-                    *pool_charged += crate::EventPool::BLOCK;
-                    None
-                } else {
-                    Some(BudgetKind::Pool)
-                }
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        if let Some(exceeded) = exceeded {
-            if exceeded == BudgetKind::Pool {
-                // The event that tripped the check never ran; settle the
-                // pool for the events actually processed.
-                self.events -= 1;
-            }
-            // Tell the lanes the run is over so they stop speculating
-            // windows that can never be applied.
-            shared.budget_near.store(true, Ordering::SeqCst);
-            return Err(RunError::BudgetExhausted {
-                exceeded,
-                events: self.events,
-                sim_time: now,
-                wall_clock: started.elapsed(),
-            });
-        }
-        self.now = now;
-        self.prof.switch(stage);
-        self.handle(now, ev);
-        self.prof.switch(Stage::Merge);
-        Ok(())
-    }
-
-    /// Schedule `ev` from a handler: the single hot-path entry point.
-    /// Sequential runs always hit the calendar; inside a window merge, an
-    /// event landing before the window's end goes to the overlay heap
-    /// instead (the calendar's clock has already advanced to the window
-    /// end), and the merge loop drains it in exact sequential order.
-    #[inline]
-    fn sched(&mut self, at: SimTime, ev: Event) {
-        if self.win_active && at < self.win_end {
-            self.overlay_seq += 1;
-            self.overlay.push(Reverse(OverlayEntry {
-                at,
-                seq: self.overlay_seq,
-                ev,
-            }));
-        } else {
-            self.cal.schedule(at, ev);
-        }
-    }
-
-    /// Draw an external think time, installing a speculatively precomputed
-    /// refill when the block runs dry. Installation self-validates (the
-    /// refill snapshots the stream state it was computed from), so a
-    /// superseded refill falls back to the ordinary in-place refill, which
-    /// produces the identical draw sequence.
-    #[inline]
-    fn sample_ext_think(&mut self) -> SimDuration {
-        if self.ext_think.is_dry() {
-            if let Some(refill) = self.pending_refill.take() {
-                if self.ext_think.install_refill(&refill, &mut self.think_rng) {
-                    if let Some(p) = self.par.as_mut() {
-                        p.refills_installed += 1;
-                    }
-                }
-            }
-        }
-        self.ext_think.sample(&mut self.think_rng)
     }
 
     /// The O(1)-memory streaming response-time quantiles collected so far.
@@ -995,7 +523,6 @@ impl Simulator {
             calendar: self.cal.stats(),
             elided_cpu_hops: self.elided_cpu,
             elided_disk_hops: self.elided_disk,
-            parallel: self.par,
         }
     }
 
@@ -1035,7 +562,7 @@ impl Simulator {
 
     fn prime(&mut self) {
         for term in 0..self.arena.num_terms() {
-            let at = SimTime::ZERO + self.sample_ext_think();
+            let at = SimTime::ZERO + self.ext_think.sample(&mut self.think_rng);
             self.cal.schedule(at, Event::Arrive(term));
         }
         self.cal
@@ -1053,7 +580,7 @@ impl Simulator {
                     .expect("CpuDone without CPU pool")
                     .complete(now, server);
                 if let Some(s) = next {
-                    self.sched(s.completes_at, Event::CpuDone(s.server));
+                    self.cal.schedule(s.completes_at, Event::CpuDone(s.server));
                 }
                 self.service_done(payload, ServiceKind::Cpu, now);
             }
@@ -1064,7 +591,7 @@ impl Simulator {
                     .expect("DiskDone without disk array")
                     .complete(now, disk);
                 if let Some(s) = next {
-                    self.sched(s.completes_at, Event::DiskDone(s.disk));
+                    self.cal.schedule(s.completes_at, Event::DiskDone(s.disk));
                 }
                 self.service_done(payload, ServiceKind::Io, now);
             }
@@ -1081,7 +608,7 @@ impl Simulator {
                     .expect("CpuDoneFast without CPU pool")
                     .complete_direct(now, server as usize)
                 {
-                    self.sched(s.completes_at, Event::CpuDone(s.server));
+                    self.cal.schedule(s.completes_at, Event::CpuDone(s.server));
                 }
                 self.service_done((term as usize, epoch), ServiceKind::Cpu, now);
             }
@@ -1092,7 +619,7 @@ impl Simulator {
                     .expect("DiskDoneFast without disk array")
                     .complete_direct(now, disk as usize)
                 {
-                    self.sched(s.completes_at, Event::DiskDone(s.disk));
+                    self.cal.schedule(s.completes_at, Event::DiskDone(s.disk));
                 }
                 self.service_done((term as usize, epoch), ServiceKind::Io, now);
             }
@@ -1214,7 +741,8 @@ impl Simulator {
         if self.metrics.on_batch_end(now, cpu_busy, io_busy) {
             self.done = true;
         } else {
-            self.sched(now + self.cfg.metrics.batch_time, Event::BatchEnd);
+            self.cal
+                .schedule(now + self.cfg.metrics.batch_time, Event::BatchEnd);
         }
     }
 
@@ -1426,7 +954,8 @@ impl Simulator {
                         .expect("terminal has no active transaction");
                     txn.state = TxnState::Thinking;
                     let epoch = txn.epoch;
-                    self.sched(now + d, Event::Delay(term, epoch, DelayKind::IntThink));
+                    self.cal
+                        .schedule(now + d, Event::Delay(term, epoch, DelayKind::IntThink));
                     return;
                 }
                 Step::Validate => {
@@ -1980,7 +1509,8 @@ impl Simulator {
         } else {
             txn.state = TxnState::RestartDelay;
             let epoch = txn.epoch;
-            self.sched(now + delay, Event::Delay(term, epoch, DelayKind::Restart));
+            self.cal
+                .schedule(now + delay, Event::Delay(term, epoch, DelayKind::Restart));
         }
 
         self.process_grants(&grants, now);
@@ -2110,9 +1640,9 @@ impl Simulator {
 
         // The terminal starts thinking about its next transaction.
         self.prof.switch(Stage::Variate);
-        let think = self.sample_ext_think();
+        let think = self.ext_think.sample(&mut self.think_rng);
         self.prof.switch(Stage::Dispatch);
-        self.sched(now + think, Event::Arrive(term));
+        self.cal.schedule(now + think, Event::Arrive(term));
 
         self.process_grants(&grants, now);
         grants.clear();
@@ -2158,7 +1688,8 @@ impl Simulator {
         match &mut self.cpus {
             None => {
                 self.inf_cpu_busy_us += dur.as_micros();
-                self.sched(now + dur, Event::InfDone(term, epoch, ServiceKind::Cpu));
+                self.cal
+                    .schedule(now + dur, Event::InfDone(term, epoch, ServiceKind::Cpu));
             }
             Some(pool) => {
                 // Uncontended fast path: an idle server means the request
@@ -2167,7 +1698,7 @@ impl Simulator {
                 if self.cfg.elide_uncontended {
                     if let Some(s) = pool.try_submit_direct(now, dur) {
                         self.elided_cpu += 1;
-                        self.sched(
+                        self.cal.schedule(
                             s.completes_at,
                             Event::CpuDoneFast {
                                 server: s.server as u32,
@@ -2186,7 +1717,7 @@ impl Simulator {
                         priority: prio,
                     },
                 ) {
-                    self.sched(s.completes_at, Event::CpuDone(s.server));
+                    self.cal.schedule(s.completes_at, Event::CpuDone(s.server));
                 }
             }
         }
@@ -2198,7 +1729,8 @@ impl Simulator {
         match &mut self.disks {
             None => {
                 self.inf_io_busy_us += dur.as_micros();
-                self.sched(now + dur, Event::InfDone(term, epoch, ServiceKind::Io));
+                self.cal
+                    .schedule(now + dur, Event::InfDone(term, epoch, ServiceKind::Io));
             }
             Some(array) => {
                 // The paper's I/O model: "chooses a disk (at random, with
@@ -2212,7 +1744,7 @@ impl Simulator {
                 if self.cfg.elide_uncontended {
                     if let Some(s) = array.try_submit_direct(now, disk, dur) {
                         self.elided_disk += 1;
-                        self.sched(
+                        self.cal.schedule(
                             s.completes_at,
                             Event::DiskDoneFast {
                                 disk: s.disk as u32,
@@ -2224,7 +1756,7 @@ impl Simulator {
                     }
                 }
                 if let Some(s) = array.submit(now, disk, (term, epoch), dur) {
-                    self.sched(s.completes_at, Event::DiskDone(s.disk));
+                    self.cal.schedule(s.completes_at, Event::DiskDone(s.disk));
                 }
             }
         }

@@ -43,19 +43,10 @@ pub enum Stage {
     /// Workload variate generation: access specs, think times, restart
     /// delays.
     Variate = 5,
-    /// Window-parallel mode: planning a window, publishing it to the worker
-    /// pool, and the merge thread's share of chunk speculation.
-    Speculate = 6,
-    /// Window-parallel mode: applying planned events in global-seq order,
-    /// including overlay drains and hint validation.
-    Merge = 7,
-    /// Window-parallel mode: discarding stale/conflicting speculation and
-    /// replaying those events serially.
-    Rollback = 8,
 }
 
 /// Number of distinct [`Stage`]s.
-pub const STAGE_COUNT: usize = 9;
+pub const STAGE_COUNT: usize = 6;
 
 #[cfg_attr(not(feature = "stage-profiler"), allow(dead_code))]
 const STAGE_NAMES: [&str; STAGE_COUNT] = [
@@ -65,9 +56,6 @@ const STAGE_NAMES: [&str; STAGE_COUNT] = [
     "lock-table",
     "validation",
     "variate-gen",
-    "speculate",
-    "merge",
-    "rollback",
 ];
 
 /// One stage's share of a completed run.

@@ -231,28 +231,27 @@ impl Value {
 /// non-finite number lexemes `NaN` / `inf` / `-inf` that the manifest
 /// writes for lossless float round trips.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src: input, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(format!("trailing bytes at offset {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Byte offset into `src`.
     pos: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
         while self
-            .bytes
+            .src
+            .as_bytes()
             .get(self.pos)
             .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
         {
@@ -261,7 +260,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -279,7 +278,7 @@ impl Parser<'_> {
     }
 
     fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             true
         } else {
@@ -371,11 +370,13 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
+                            // `get` is `None` past the end and when the
+                            // four bytes split a multibyte character.
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .ok_or("truncated or malformed \\u escape")?;
                             let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                             out.push(char::from_u32(code).ok_or("invalid \\u escape codepoint")?);
                             self.pos += 4;
@@ -385,11 +386,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty");
+                    // Consume one UTF-8 character. Every branch above
+                    // advances by whole ASCII bytes, so `pos` is on a
+                    // character boundary; `get` turns a violation of that
+                    // into an error rather than a panic.
+                    let c = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| format!("broken UTF-8 boundary at offset {}", self.pos))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -414,9 +419,7 @@ impl Parser<'_> {
         if self.pos == start {
             return Err(format!("expected a value at offset {start}"));
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .to_string();
+        let raw = self.src[start..self.pos].to_string();
         // Validate the lexeme parses as a float at all.
         raw.parse::<f64>()
             .map_err(|e| format!("bad number {raw:?}: {e}"))?;
@@ -686,5 +689,31 @@ mod tests {
     fn parser_unescapes_strings() {
         let v = parse("\"a\\nb\\tc\\u0041\\\\\"").expect("parses");
         assert_eq!(v.as_str(), Some("a\nb\tc\u{41}\\"));
+    }
+
+    #[test]
+    fn parser_keeps_multibyte_characters_whole() {
+        let v = parse("\"é→😀\\u00e9\"").expect("parses");
+        assert_eq!(v.as_str(), Some("é→😀é"));
+    }
+
+    #[test]
+    fn multibyte_characters_in_escapes_are_errors_not_panics() {
+        for bad in [
+            // A multibyte character right after the backslash.
+            "\"\\é\"",
+            "\"\\😀",
+            // Inside a `\u` escape: split by, or cut short at, a multibyte
+            // character.
+            "\"\\u00é\"",
+            "\"\\ué",
+            "\"\\u0😀\"",
+            "\"\\u12",
+            "\"\\u",
+            // Not hex digits (`from_str_radix` alone would accept a sign).
+            "\"\\u+041\"",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 }

@@ -220,13 +220,6 @@ pub struct RunOptions {
     /// total simulated work is bounded across jobs; `None` (the default)
     /// leaves runs bounded only by their per-run [`ccsim_core::RunBudget`].
     pub event_pool: Option<EventPool>,
-    /// Engine worker threads *inside* each run (the speculative
-    /// window-parallel mode, [`SimConfig::workers`]) — orthogonal to
-    /// `threads`, which parallelizes across grid points. `0`/`1` run each
-    /// point sequentially. Like `threads`, this cannot change any result
-    /// (window mode is byte-identical), so it is not part of the
-    /// checkpoint-manifest fingerprint.
-    pub workers: u32,
 }
 
 impl Default for RunOptions {
@@ -239,7 +232,6 @@ impl Default for RunOptions {
             audit: false,
             retry: RetryPolicy::none(),
             event_pool: None,
-            workers: 1,
         }
     }
 }
@@ -443,7 +435,6 @@ fn run_point(
     if let Some(pool) = &opts.event_pool {
         cfg = cfg.with_event_pool(pool.clone());
     }
-    cfg = cfg.with_workers(opts.workers);
     if let Some(cap) = chaos.budget_cap_at(series_ix, mpl, rep, attempt) {
         cfg = cfg.with_budget(RunBudget::unlimited().with_max_events(cap));
     }
@@ -841,7 +832,6 @@ mod tests {
             audit: false,
             retry: RetryPolicy::none(),
             event_pool: None,
-            workers: 1,
         }
     }
 

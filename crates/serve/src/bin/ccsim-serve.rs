@@ -46,6 +46,14 @@ mod shutdown {
         }
         const SIGINT: i32 = 2;
         const SIGTERM: i32 = 15;
+        // SAFETY: `signal` is libc's `sighandler_t signal(int,
+        // sighandler_t)`; both `sighandler_t` and `usize` are
+        // pointer-sized, and the handler is a `'static` `extern "C"
+        // fn(i32)`, the ABI the kernel calls. The handler is
+        // async-signal-safe: it only stores to a lock-free `AtomicBool`
+        // (no allocation, no locks, no I/O). A failed install (`SIG_ERR`,
+        // ignored here) leaves the default disposition, which terminates
+        // the process as it would have without this handler.
         unsafe {
             signal(SIGINT, on_signal as extern "C" fn(i32) as usize);
             signal(SIGTERM, on_signal as extern "C" fn(i32) as usize);
