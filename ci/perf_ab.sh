@@ -6,12 +6,15 @@
 # The base is the merge base of HEAD and REF. The script builds the
 # `ccbench` package twice, once from a separate checkout of the base and
 # once from the working tree, each into its own target directory. It then
-# runs `paper-1x2` and `contention-inf` for ROUNDS interleaved rounds of
-# SECONDS_PER_RUN each, alternating which side runs first, and fails when
-# the median per-round HEAD/base `events_per_sec` ratio of either
-# workload is below MIN_RATIO. Both sides run on the same host within
-# seconds of each other, so runner speed cancels out of the ratio and a
-# 10% loss shows where the 30%-of-archive floors cannot see it.
+# runs each workload for ROUNDS interleaved rounds of SECONDS_PER_RUN,
+# alternating which side runs first, and fails when the median per-round
+# HEAD/base ratio of a gated metric crosses that workload's bound (the
+# constants below). Both sides run on the same host within seconds of
+# each other, so runner speed cancels out of the ratio and a 10% loss
+# shows at the paper and contention points. exp-scale is a crash guard:
+# its run-to-run spread is 0.06-0.16 (ccbench/README.md), so its rate
+# bound only catches gross losses, and its RSS bound is the one
+# BENCHMARK.json gives the metric.
 #
 # WORK names the directory for the checkout, builds and target dirs
 # (default: a fresh temporary directory).
@@ -19,8 +22,11 @@ set -euo pipefail
 
 ROUNDS=5
 SECONDS_PER_RUN=5
-MIN_RATIO=0.95
-WORKLOADS=(paper-1x2 contention-inf)
+WORKLOADS=(paper-1x2 contention-inf exp-scale)
+# Lowest allowed median HEAD/base events_per_sec ratio, per workload.
+declare -A MIN_EPS_RATIO=([paper-1x2]=0.95 [contention-inf]=0.95 [exp-scale]=0.80)
+# Highest allowed median HEAD/base peak_rss_mib ratio; unset means ungated.
+declare -A MAX_RSS_RATIO=([exp-scale]=1.15)
 
 root=$(git rev-parse --show-toplevel)
 base_sha=$(git -C "$root" merge-base HEAD "${1:-origin/main}")
@@ -38,45 +44,63 @@ build "$root" "$work/head-target"
 bin_base="$work/base-target/release/ccbench"
 bin_head="$work/head-target/release/ccbench"
 
-# One run's events/sec from the result line; a run that is not correct or
-# has failed operations fails the gate.
-rate() { # binary workload seed
+# One run's events/sec and peak RSS (MiB) from the result line; a run
+# that is not correct or has failed operations fails the gate.
+measure() { # binary workload seed
     "$1" --workload "$2" --seed "$3" --seconds "$SECONDS_PER_RUN" --trace 0 | tail -n 1 |
         python3 -c '
 import json, sys
 r = json.load(sys.stdin)
 if not r["correct"] or r["failed"]:
     sys.exit("run not correct or has failed operations: %s" % r)
-print(r["metrics"]["events_per_sec"]["value"])'
+m = r["metrics"]
+print(m["events_per_sec"]["value"], m["peak_rss_mib"]["value"])'
+}
+
+# Compares the median of the per-round ratios with a bound; fails when the
+# median is on the wrong side of it.
+check() { # workload metric higher|lower bound ratio...
+    python3 - "$@" <<'PY'
+import statistics, sys
+wl, metric, better, bound = sys.argv[1], sys.argv[2], sys.argv[3], float(sys.argv[4])
+ratios = [float(x) for x in sys.argv[5:]]
+median = statistics.median(ratios)
+if better == "higher":
+    ok, wins, rel = median >= bound, sum(r > 1 for r in ratios), ">="
+else:
+    ok, wins, rel = median <= bound, sum(r < 1 for r in ratios), "<="
+print(f"{wl:<15} {metric:<14} median head/base {median:.3f} "
+      f"(head better in {wins}/{len(ratios)} rounds): "
+      f"{'PASS' if ok else 'FAIL'} against {rel} {bound}")
+sys.exit(0 if ok else 1)
+PY
 }
 
 status=0
 for wl in "${WORKLOADS[@]}"; do
-    ratios=()
+    eps_ratios=()
+    rss_ratios=()
     for round in $(seq 1 "$ROUNDS"); do
         if ((round % 2)); then
-            b=$(rate "$bin_base" "$wl" "$round")
-            h=$(rate "$bin_head" "$wl" "$round")
+            b=$(measure "$bin_base" "$wl" "$round")
+            h=$(measure "$bin_head" "$wl" "$round")
         else
-            h=$(rate "$bin_head" "$wl" "$round")
-            b=$(rate "$bin_base" "$wl" "$round")
+            h=$(measure "$bin_head" "$wl" "$round")
+            b=$(measure "$bin_base" "$wl" "$round")
         fi
-        r=$(python3 -c "print($h / $b)")
-        printf '%-15s round %d  base %12.0f  head %12.0f  head/base %.3f\n' \
-            "$wl" "$round" "$b" "$h" "$r"
-        ratios+=("$r")
+        read -r b_eps b_rss <<<"$b"
+        read -r h_eps h_rss <<<"$h"
+        eps_r=$(python3 -c "print($h_eps / $b_eps)")
+        rss_r=$(python3 -c "print($h_rss / $b_rss)")
+        printf '%-15s round %d  events/s base %12.0f head %12.0f  %.3f  ' \
+            "$wl" "$round" "$b_eps" "$h_eps" "$eps_r"
+        printf 'peak RSS MiB base %7.1f head %7.1f  %.3f\n' "$b_rss" "$h_rss" "$rss_r"
+        eps_ratios+=("$eps_r")
+        rss_ratios+=("$rss_r")
     done
-    if ! python3 - "$wl" "$MIN_RATIO" "${ratios[@]}" <<'PY'; then
-import statistics, sys
-wl, floor, ratios = sys.argv[1], float(sys.argv[2]), [float(x) for x in sys.argv[3:]]
-median = statistics.median(ratios)
-wins = sum(r > 1 for r in ratios)
-ok = median >= floor
-print(f"{wl:<15} median head/base {median:.3f} (head faster in {wins}/{len(ratios)} rounds): "
-      f"{'PASS' if ok else 'FAIL'} against {floor}")
-sys.exit(0 if ok else 1)
-PY
-        status=1
+    check "$wl" events_per_sec higher "${MIN_EPS_RATIO[$wl]}" "${eps_ratios[@]}" || status=1
+    if [[ -n ${MAX_RSS_RATIO[$wl]:-} ]]; then
+        check "$wl" peak_rss_mib lower "${MAX_RSS_RATIO[$wl]}" "${rss_ratios[@]}" || status=1
     fi
 done
 exit "$status"

@@ -6,8 +6,8 @@ use std::fmt;
 ///
 /// The first three are the paper's subjects — chosen as extremes in *when*
 /// conflicts are detected (access time vs. commit time) and *how* they are
-/// resolved (blocking vs. restarts). The remaining three are extensions that
-/// fit the same framework and are used in the ablation benchmarks.
+/// resolved (blocking vs. restarts). The rest are extensions that fit the
+/// same framework.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CcAlgorithm {
     /// Dynamic two-phase locking: block on conflict, detect deadlocks via a
@@ -182,7 +182,7 @@ pub enum VictimPolicy {
 }
 
 impl VictimPolicy {
-    /// All victim policies (for the ablation bench).
+    /// All victim policies (for the victim-policy ablation).
     pub const ALL: [VictimPolicy; 3] = [
         VictimPolicy::Youngest,
         VictimPolicy::Oldest,

@@ -15,8 +15,8 @@
 //! zero-sized struct whose methods are empty `#[inline(always)]` bodies:
 //! every call site compiles to nothing, the struct adds no bytes to the
 //! simulator, and the steady-state loop contains no profiling code at all.
-//! CI's `profile-overhead` job pins this by checking the default build
-//! against the archived throughput floors.
+//! The default build is the one CI's `perf-ab` gate measures, so a cost
+//! leaking out of the hooks shows in its HEAD/base throughput ratio.
 //!
 //! The profiler observes wall time only; it never reads or influences
 //! simulation state, so reports are byte-identical with the feature on or

@@ -201,7 +201,7 @@ fn bucket_pop_root(nodes: &mut Vec<Node>) -> Node {
 pub struct Calendar<E> {
     heap: Vec<Node>,
     /// When false, every schedule goes to the overflow heap — the
-    /// single-tier baseline for ablation runs (see [`Calendar::heap_only`]).
+    /// single-tier baseline (see [`Calendar::heap_only`]).
     use_lane: bool,
     /// Near-horizon ring, indexed by `absolute_bucket % NEAR_BUCKETS`.
     lane: Vec<LaneBucket>,
@@ -259,9 +259,9 @@ impl<E> Calendar<E> {
     /// Create an empty calendar that bypasses the near-horizon lane: every
     /// event lands in the overflow heap. Delivery order is identical to
     /// [`Calendar::new`] — `(time, seq)` decides in both tiers — so the
-    /// only difference is cost. This is the single-tier baseline that
-    /// ablation benchmarks measure the lane against; simulations have no
-    /// reason to use it.
+    /// only difference is cost. This is the equivalence reference the
+    /// determinism tests compare the two-tier calendar against;
+    /// simulations have no reason to use it.
     #[must_use]
     pub fn heap_only() -> Self {
         Calendar {
