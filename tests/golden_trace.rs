@@ -1,8 +1,9 @@
-//! Golden-trace regression harness: a small contended run of each paper
-//! algorithm is serialized to a stable text form and compared line-by-line
-//! against the checked-in files in `tests/golden/`. Any change to engine
-//! scheduling, conflict resolution, or seeding shows up here as a readable
-//! diff instead of a silent drift in summary statistics.
+//! Golden-trace regression harness: a small contended run of every
+//! concurrency control algorithm (plus one blocking run with the non-default
+//! knobs switched on) is serialized to a stable text form and compared
+//! line-by-line against the checked-in files in `tests/golden/`. Any change
+//! to engine scheduling, conflict resolution, or seeding shows up here as a
+//! readable diff instead of a silent drift in summary statistics.
 //!
 //! To bless an intentional behavior change:
 //!
@@ -15,7 +16,9 @@
 use std::path::PathBuf;
 
 use ccsim_audit::golden::{check_or_update, serialize_trace};
-use ccsim_core::{run_with_trace, CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig};
+use ccsim_core::{
+    run_with_trace, CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig, VictimPolicy,
+};
 use ccsim_des::SimDuration;
 
 /// The fixed scenario behind every golden file: a dozen terminals hammering
@@ -48,22 +51,41 @@ fn golden_path(label: &str) -> PathBuf {
         .join(format!("{label}.trace"))
 }
 
+/// Every algorithm, the deliberately unsafe `NoCc` baseline included.
 fn tracked_algorithms() -> impl Iterator<Item = CcAlgorithm> {
-    CcAlgorithm::PAPER_TRIO
+    CcAlgorithm::ALL
         .into_iter()
-        .chain(CcAlgorithm::MODERN_TRIO)
+        .chain(std::iter::once(CcAlgorithm::NoCc))
+}
+
+/// Blocking with every knob off its default: a CPU charge per
+/// concurrency-control request (the high-priority CPU class), the Fig. 11
+/// restart delay applied to deadlock victims, and the fewest-locks victim.
+fn blocking_knobs_config() -> SimConfig {
+    let mut cfg = golden_config(CcAlgorithm::Blocking);
+    cfg.params.cc_cpu = SimDuration::from_millis(2);
+    cfg.restart_delay_for_all = true;
+    cfg.victim = VictimPolicy::FewestLocks;
+    cfg
+}
+
+/// Every golden scenario: `(file label, configuration)`.
+fn golden_cases() -> Vec<(&'static str, SimConfig)> {
+    tracked_algorithms()
+        .map(|algo| (algo.label(), golden_config(algo)))
+        .chain(std::iter::once(("blocking-knobs", blocking_knobs_config())))
+        .collect()
 }
 
 #[test]
 fn paper_trio_traces_match_golden_files() {
-    for algo in tracked_algorithms() {
-        let cfg = golden_config(algo);
+    for (label, cfg) in golden_cases() {
         let (report, trace) = run_with_trace(cfg.clone(), 1_000_000).unwrap();
-        assert_eq!(trace.dropped(), 0, "{algo} golden trace overflowed");
-        assert!(!trace.is_empty(), "{algo} golden run recorded nothing");
+        assert_eq!(trace.dropped(), 0, "{label} golden trace overflowed");
+        assert!(!trace.is_empty(), "{label} golden run recorded nothing");
         let text = serialize_trace(&cfg, &trace, &report);
-        if let Err(msg) = check_or_update(&golden_path(algo.label()), &text) {
-            panic!("{algo}: {msg}");
+        if let Err(msg) = check_or_update(&golden_path(label), &text) {
+            panic!("{label}: {msg}");
         }
     }
 }
@@ -74,15 +96,15 @@ fn golden_traces_match_with_elision_forced_off() {
     // forced off, the very same checked-in golden files must still match
     // byte-for-byte (never UPDATE_GOLDEN through this test — it checks
     // against the files the elided runs produce).
-    for algo in tracked_algorithms() {
-        let cfg = golden_config(algo).with_elision(false);
+    for (label, cfg) in golden_cases() {
+        let cfg = cfg.with_elision(false);
         let (report, trace) = run_with_trace(cfg.clone(), 1_000_000).unwrap();
         let text = serialize_trace(&cfg, &trace, &report);
-        let expected = std::fs::read_to_string(golden_path(algo.label()))
+        let expected = std::fs::read_to_string(golden_path(label))
             .expect("golden file exists (run the elided test first)");
         assert_eq!(
             text, expected,
-            "{algo}: disabling elision changed the golden trace"
+            "{label}: disabling elision changed the golden trace"
         );
     }
 }
