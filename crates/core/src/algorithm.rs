@@ -116,31 +116,6 @@ impl CcAlgorithm {
         )
     }
 
-    /// The transaction program shape this algorithm executes.
-    #[must_use]
-    pub fn program_shape(self) -> crate::txn::ProgramShape {
-        use crate::txn::ProgramShape;
-        match self {
-            CcAlgorithm::Optimistic
-            | CcAlgorithm::NoCc
-            | CcAlgorithm::MvccSi
-            | CcAlgorithm::SiloOcc
-            | CcAlgorithm::TicToc => ProgramShape::LockFree,
-            CcAlgorithm::StaticLocking => ProgramShape::Static2pl,
-            _ => ProgramShape::Dynamic2pl,
-        }
-    }
-
-    /// Does the algorithm inherently delay restarted transactions?
-    /// Immediate-restart must, "otherwise the same lock conflict will occur
-    /// repeatedly" (paper §2); the others don't need to — blocking's
-    /// deadlock cannot recur and optimistic conflicts are with already
-    /// committed transactions.
-    #[must_use]
-    pub fn uses_restart_delay(self) -> bool {
-        matches!(self, CcAlgorithm::ImmediateRestart)
-    }
-
     /// Short label used in reports and plots.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -208,7 +183,6 @@ mod tests {
     fn no_cc_is_excluded_from_all() {
         assert!(!CcAlgorithm::ALL.contains(&CcAlgorithm::NoCc));
         assert!(!CcAlgorithm::NoCc.uses_locks());
-        assert!(!CcAlgorithm::NoCc.uses_restart_delay());
         assert_eq!(CcAlgorithm::NoCc.label(), "no-cc");
     }
 
@@ -222,23 +196,9 @@ mod tests {
         assert!(CcAlgorithm::StaticLocking.uses_locks());
         assert!(!CcAlgorithm::Optimistic.uses_locks());
         assert!(!CcAlgorithm::BasicTO.uses_locks());
-        assert_eq!(
-            CcAlgorithm::BasicTO.program_shape(),
-            crate::txn::ProgramShape::Dynamic2pl
-        );
         for a in CcAlgorithm::MODERN_TRIO {
             assert!(!a.uses_locks(), "{a} must not use the lock manager");
-            assert!(!a.uses_restart_delay());
-            assert_eq!(a.program_shape(), crate::txn::ProgramShape::LockFree);
         }
-    }
-
-    #[test]
-    fn delay_usage() {
-        assert!(CcAlgorithm::ImmediateRestart.uses_restart_delay());
-        assert!(!CcAlgorithm::Blocking.uses_restart_delay());
-        assert!(!CcAlgorithm::Optimistic.uses_restart_delay());
-        assert!(!CcAlgorithm::NoWaiting.uses_restart_delay());
     }
 
     #[test]

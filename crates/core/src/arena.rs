@@ -223,8 +223,9 @@ impl TxnArena {
 
     /// Advance `term`'s transaction to its next step. Hot-path equivalent
     /// of [`TxnRec::advance`]: the step comes from the decoded-program
-    /// table as one indexed load instead of the arithmetic decode.
-    #[inline]
+    /// table as one indexed load instead of the arithmetic decode. Always
+    /// inlined into each protocol's copy of the event loop.
+    #[inline(always)]
     pub fn advance(&mut self, term: usize) {
         let rec = &mut self.recs[term];
         rec.pc += 1;
@@ -267,7 +268,11 @@ impl TxnArena {
     /// Install a fresh transaction at `term`, copying `spec` into the
     /// terminal's data region. Semantically identical to the old
     /// `Txn::new_reusing` plus class assignment.
+    ///
+    /// Always inlined into each protocol's copy of the event loop (see
+    /// `engine::bind`).
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     pub fn install(
         &mut self,
         term: usize,

@@ -19,24 +19,23 @@ use ccsim_des::{
     SimTime, UniformBlock, Xoshiro256StarStar,
 };
 use ccsim_history::{CommittedTxn, History};
-use ccsim_lockmgr::{Grant, LockManager, LockMode, RequestOutcome};
-use ccsim_mvcc::MvccManager;
-use ccsim_occ::{SiloValidator, Validator};
+use ccsim_lockmgr::LockMode;
 use ccsim_resources::{DiskArray, Priority, Request, ServerPool};
 use ccsim_stats::RunningAvg;
-use ccsim_tso::{
-    ReadOutcome as TsoRead, TicTocManager, TsoManager, TtWord, WriteOutcome as TsoWrite,
-};
 use ccsim_workload::{
     Generator, ObjId, ParamError, Params, ResourceSpec, RestartDelayPolicy, TxnId,
 };
 
-use crate::algorithm::{CcAlgorithm, VictimPolicy};
+use crate::algorithm::CcAlgorithm;
 use crate::arena::TxnArena;
 use crate::budget::{BudgetKind, RunError};
 use crate::config::SimConfig;
 use crate::metrics::{Metrics, Report};
 use crate::profiler::{Stage, StageProfile, StageProfiler};
+use crate::protocol::{
+    AbortCause, AttemptEnd, BasicTo, CcAction, Locking, MvccSi, NoCc, Optimistic, Protocol,
+    SiloOcc, TicToc, BLOCKING, IMMEDIATE_RESTART, NO_WAITING, STATIC_LOCKING, WAIT_DIE, WOUND_WAIT,
+};
 use crate::sink::{CenterFlow, EventSink, FlowStats};
 use crate::trace::{Trace, TraceEvent};
 use crate::txn::{Step, TxnState};
@@ -102,38 +101,31 @@ enum Event {
     BatchEnd,
 }
 
-/// Why a transaction is being aborted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AbortCause {
-    /// Deadlock victim (blocking algorithm).
-    Deadlock,
-    /// Lock denial (immediate-restart / no-waiting).
-    Denial,
-    /// Failed optimistic validation.
-    Validation,
-    /// Wounded by an older transaction (wound-wait).
-    Wounded,
-    /// Died on conflict with an older holder (wait-die).
-    Died,
-    /// A timestamp-ordering operation arrived too late (basic T/O).
-    TsRejected,
+/// An event loop bound to one protocol's state: called once, at run entry.
+type BoundLoop = Box<dyn FnOnce(&mut Simulator) -> Result<(), RunError>>;
+
+/// Bind the event loop to one run's protocol state `p`.
+///
+/// The loop is compiled once per protocol, so the per-event path
+/// (`handle`, `dispatch`, ...) and the hot helpers it calls (`submit_io`,
+/// `try_admit`, `Calendar::pop`, ...) have a dozen callers each. LLVM then
+/// declines to inline them, which cost 5–20% of events/sec at
+/// `contention-inf` depending on the protocol; they are
+/// `#[inline(always)]`.
+fn bind<P: Protocol + 'static>(p: P) -> BoundLoop {
+    Box::new(move |sim| sim.event_loop(p))
 }
 
-/// Outcome of a concurrency-control request from the requester's viewpoint.
-enum CcAction {
-    /// Lock granted: continue to the next step.
-    Proceed,
-    /// The requester blocked (or was handled entirely elsewhere — e.g.
-    /// granted or restarted during deadlock resolution); stop dispatching.
-    Suspend,
-}
-
-/// The simulator. Construct with [`Simulator::new`], drive with
+/// The simulator: the closed model's terminals, ready queue, resources,
+/// step interpreter and restart machinery. Concurrency control lives in
+/// the one `Protocol` that `new` builds for the configured algorithm;
+/// the engine drives it through the protocol's hooks, with the event loop
+/// monomorphized for it. Construct with [`Simulator::new`], drive with
 /// [`Simulator::run_to_completion`], or use the convenience [`run`].
 pub struct Simulator {
     cfg: SimConfig,
     cal: Calendar<Event>,
-    arena: TxnArena,
+    pub(crate) arena: TxnArena,
     generator: Generator,
     /// Spec buffers recycled through the generator so the steady-state
     /// arrival path allocates nothing (and the RNG draw order matches the
@@ -152,18 +144,6 @@ pub struct Simulator {
     int_think: Exponential,
     /// Uniform disk choice, batched over the dedicated `disk_rng` stream.
     disk_pick: UniformBlock,
-    lockmgr: LockManager,
-    validator: Validator,
-    tso: TsoManager,
-    mvcc: MvccManager,
-    silo: SiloValidator,
-    tictoc: TicTocManager,
-    /// Scratch `(object, observed-at)` pairs for Silo read-set validation,
-    /// reused across commits so the hot path never allocates.
-    rw_scratch: Vec<(ObjId, SimTime)>,
-    /// Scratch `(object, observed word)` pairs for TicToc validation; same
-    /// reuse discipline.
-    tt_scratch: Vec<(ObjId, TtWord)>,
     cpus: Option<ServerPool<Payload>>,
     disks: Option<DiskArray<Payload>>,
     inf_cpu_busy_us: u64,
@@ -172,7 +152,7 @@ pub struct Simulator {
     active: usize,
     metrics: Metrics,
     resp_avg: RunningAvg,
-    history: Option<History>,
+    pub(crate) history: Option<History>,
     trace: Option<Trace>,
     /// Additional observers of the event stream (see [`EventSink`]).
     sinks: Vec<Box<dyn EventSink>>,
@@ -192,11 +172,6 @@ pub struct Simulator {
     /// Cached `trace.is_some() || !sinks.is_empty()` so [`Simulator::emit`]
     /// is a single predictable branch when nothing observes the run.
     observed: bool,
-    /// Scratch buffer for lock-release grant cascades, reused across events.
-    grant_buf: Vec<Grant>,
-    /// Scratch buffer for blocker queries (wait-die / wound-wait), reused
-    /// across events.
-    blocker_buf: Vec<TxnId>,
     /// Events handled so far (the run's total once the loop finishes).
     events: u64,
     /// CPU request/dispatch hops elided by the idle-server fast path.
@@ -205,6 +180,11 @@ pub struct Simulator {
     elided_disk: u64,
     /// Wall-clock time spent in the event loop.
     run_wall: std::time::Duration,
+    /// The protocol's lock-table high-water mark, read when the loop ends.
+    peak_lock_table: usize,
+    /// The event loop bound to the configured protocol's state; taken by
+    /// the run.
+    bound: Option<BoundLoop>,
     /// Per-stage cycle accounting over the event loop. Zero-sized with
     /// every call site an empty inline body unless the `stage-profiler`
     /// feature is on, so the steady-state loop normally carries none of it.
@@ -278,7 +258,6 @@ impl Simulator {
         let metrics = Metrics::new(cfg.metrics, ncpu, ndisk, generator.num_classes());
         let trace = (cfg.trace_capacity > 0).then(|| Trace::with_capacity(cfg.trace_capacity));
         let observed = trace.is_some();
-        let db_size = params.db_size as usize;
         let num_terms = params.num_terms as usize;
         // Region width of the arena: the largest readset any class can draw.
         let txn_cap = ccsim_workload::class_table(params)
@@ -286,6 +265,22 @@ impl Simulator {
             .map(|c| c.max_size as usize)
             .max()
             .unwrap_or(1);
+        // The one dispatch on the algorithm: build that protocol's state
+        // (and no other) and bind the event loop, monomorphized for it.
+        let bound = match cfg.algorithm {
+            CcAlgorithm::Blocking => bind(Locking::<BLOCKING>::new(&cfg)),
+            CcAlgorithm::StaticLocking => bind(Locking::<STATIC_LOCKING>::new(&cfg)),
+            CcAlgorithm::ImmediateRestart => bind(Locking::<IMMEDIATE_RESTART>::new(&cfg)),
+            CcAlgorithm::NoWaiting => bind(Locking::<NO_WAITING>::new(&cfg)),
+            CcAlgorithm::WaitDie => bind(Locking::<WAIT_DIE>::new(&cfg)),
+            CcAlgorithm::WoundWait => bind(Locking::<WOUND_WAIT>::new(&cfg)),
+            CcAlgorithm::BasicTO => bind(BasicTo::default()),
+            CcAlgorithm::Optimistic => bind(Optimistic::new(&cfg)),
+            CcAlgorithm::NoCc => bind(NoCc),
+            CcAlgorithm::MvccSi => bind(MvccSi::default()),
+            CcAlgorithm::SiloOcc => bind(SiloOcc::default()),
+            CcAlgorithm::TicToc => bind(TicToc::default()),
+        };
         Ok(Simulator {
             generator,
             scratch_reads: Vec::new(),
@@ -296,14 +291,6 @@ impl Simulator {
             ext_think: ExpBlock::new(params.ext_think_time),
             int_think: Exponential::new(params.int_think_time),
             disk_pick: UniformBlock::new(u64::from(ndisk.max(1))),
-            lockmgr: LockManager::with_capacity(db_size, num_terms),
-            validator: Validator::with_capacity(db_size),
-            tso: TsoManager::new(),
-            mvcc: MvccManager::new(),
-            silo: SiloValidator::new(SiloValidator::DEFAULT_EPOCH),
-            tictoc: TicTocManager::new(),
-            rw_scratch: Vec::new(),
-            tt_scratch: Vec::new(),
             cpus,
             disks,
             inf_cpu_busy_us: 0,
@@ -328,12 +315,12 @@ impl Simulator {
             metrics,
             done: false,
             observed,
-            grant_buf: Vec::new(),
-            blocker_buf: Vec::new(),
             events: 0,
             elided_cpu: 0,
             elided_disk: 0,
             run_wall: std::time::Duration::ZERO,
+            peak_lock_table: 0,
+            bound: Some(bound),
             prof: StageProfiler::new(),
             cfg,
         })
@@ -363,12 +350,12 @@ impl Simulator {
     }
 
     #[cfg(feature = "test-hooks")]
-    fn take_lock_leak(&mut self) -> bool {
+    pub(crate) fn take_lock_leak(&mut self) -> bool {
         std::mem::take(&mut self.leak_next_commit)
     }
 
     #[cfg(not(feature = "test-hooks"))]
-    fn take_lock_leak(&mut self) -> bool {
+    pub(crate) fn take_lock_leak(&mut self) -> bool {
         false
     }
 
@@ -390,13 +377,19 @@ impl Simulator {
     const WALL_CHECK_PERIOD: u64 = 8192;
 
     fn run_loop(&mut self) -> Result<(), RunError> {
+        let bound = self.bound.take().expect("a simulator runs once");
+        bound(self)
+    }
+
+    /// The event loop, monomorphized for the run's protocol `p`.
+    fn event_loop<P: Protocol>(&mut self, mut p: P) -> Result<(), RunError> {
+        let started = std::time::Instant::now();
         let budget = self.cfg.budget;
         let pool = self.cfg.event_pool.clone();
         // Events charged to the shared pool ahead of processing; the
         // unused remainder is refunded at exit so pool accounting is
         // exact. A detached pool costs nothing on the hot path.
         let mut pool_charged: u64 = 0;
-        let started = std::time::Instant::now();
         self.prime();
         self.prof.start(Stage::Pop);
         let result = loop {
@@ -452,11 +445,14 @@ impl Simulator {
             }
             self.now = now;
             self.prof.switch(Stage::Handle);
-            self.handle(now, ev);
+            self.handle(&mut p, now, ev);
             self.prof.switch(Stage::Pop);
         };
         self.prof.stop();
         self.settle_pool(pool.as_ref(), pool_charged);
+        self.peak_lock_table = p.peak_lock_table();
+        // The clock stops before `p` drops: tearing down a million-slot
+        // lock table is not event-loop work.
         self.run_wall = started.elapsed();
         result
     }
@@ -519,7 +515,7 @@ impl Simulator {
             events: self.events,
             wall: self.run_wall,
             peak_calendar: self.cal.peak_len(),
-            peak_lock_table: self.lockmgr.peak_locks_in_table(),
+            peak_lock_table: self.peak_lock_table,
             calendar: self.cal.stats(),
             elided_cpu_hops: self.elided_cpu,
             elided_disk_hops: self.elided_disk,
@@ -569,10 +565,11 @@ impl Simulator {
             .schedule(SimTime::ZERO + self.cfg.metrics.batch_time, Event::BatchEnd);
     }
 
-    fn handle(&mut self, now: SimTime, ev: Event) {
+    #[inline(always)]
+    fn handle<P: Protocol>(&mut self, p: &mut P, now: SimTime, ev: Event) {
         match ev {
-            Event::Arrive(term) => self.on_arrive(term, now),
-            Event::BatchEnd => self.on_batch_end(now),
+            Event::Arrive(term) => self.on_arrive::<P>(term, now),
+            Event::BatchEnd => self.on_batch_end(p, now),
             Event::CpuDone(server) => {
                 let (payload, next) = self
                     .cpus
@@ -582,7 +579,7 @@ impl Simulator {
                 if let Some(s) = next {
                     self.cal.schedule(s.completes_at, Event::CpuDone(s.server));
                 }
-                self.service_done(payload, ServiceKind::Cpu, now);
+                self.service_done(p, payload, ServiceKind::Cpu, now);
             }
             Event::DiskDone(disk) => {
                 let (payload, next) = self
@@ -593,7 +590,7 @@ impl Simulator {
                 if let Some(s) = next {
                     self.cal.schedule(s.completes_at, Event::DiskDone(s.disk));
                 }
-                self.service_done(payload, ServiceKind::Io, now);
+                self.service_done(p, payload, ServiceKind::Io, now);
             }
             Event::CpuDoneFast {
                 server,
@@ -610,7 +607,7 @@ impl Simulator {
                 {
                     self.cal.schedule(s.completes_at, Event::CpuDone(s.server));
                 }
-                self.service_done((term as usize, epoch), ServiceKind::Cpu, now);
+                self.service_done(p, (term as usize, epoch), ServiceKind::Cpu, now);
             }
             Event::DiskDoneFast { disk, term, epoch } => {
                 if let Some(s) = self
@@ -621,25 +618,27 @@ impl Simulator {
                 {
                     self.cal.schedule(s.completes_at, Event::DiskDone(s.disk));
                 }
-                self.service_done((term as usize, epoch), ServiceKind::Io, now);
+                self.service_done(p, (term as usize, epoch), ServiceKind::Io, now);
             }
-            Event::InfDone(term, epoch, kind) => self.service_done((term, epoch), kind, now),
+            Event::InfDone(term, epoch, kind) => self.service_done(p, (term, epoch), kind, now),
             Event::Delay(term, epoch, kind) => self.on_delay_done(term, epoch, kind, now),
         }
         self.prof.switch(Stage::Dispatch);
-        self.drain_work(now);
+        self.drain_work(p, now);
         self.prof.switch(Stage::Handle);
     }
 
     /// Mark `term`'s transaction as ready to continue at the current
     /// instant. The actual dispatch happens from [`Simulator::drain_work`],
     /// which bounds stack depth under long grant/abort cascades.
+    #[inline(always)]
     fn enqueue_dispatch(&mut self, term: usize) {
         let epoch = self.arena.get(term).expect("live txn").epoch;
         self.work.push_back((term, epoch));
     }
 
-    fn drain_work(&mut self, now: SimTime) {
+    #[inline(always)]
+    fn drain_work<P: Protocol>(&mut self, p: &mut P, now: SimTime) {
         while let Some((term, epoch)) = self.work.pop_front() {
             let Some(txn) = self.arena.get(term) else {
                 continue;
@@ -650,7 +649,7 @@ impl Simulator {
             if txn.epoch != epoch || txn.state != TxnState::Running {
                 continue;
             }
-            self.dispatch(term, now);
+            self.dispatch(p, term, now);
         }
     }
 
@@ -658,7 +657,7 @@ impl Simulator {
     // Event handlers
     // ------------------------------------------------------------------
 
-    fn on_arrive(&mut self, term: usize, now: SimTime) {
+    fn on_arrive<P: Protocol>(&mut self, term: usize, now: SimTime) {
         let id = TxnId(self.next_serial * self.arena.num_terms() as u64 + term as u64);
         self.next_serial += 1;
         // Epochs stay monotone per terminal across transactions, so an
@@ -673,16 +672,8 @@ impl Simulator {
         let (class, spec) = self.generator.next_spec_with_class_reusing(reads, writes);
         self.prof.switch(Stage::Handle);
         let thinks = !self.cfg.params.int_think_time.is_zero();
-        self.arena.install(
-            term,
-            id,
-            &spec,
-            self.cfg.algorithm.program_shape(),
-            thinks,
-            now,
-            epoch,
-            class,
-        );
+        self.arena
+            .install(term, id, &spec, P::SHAPE, thinks, now, epoch, class);
         let (reads, writes) = spec.into_parts();
         self.scratch_reads = reads;
         self.scratch_writes = writes;
@@ -691,7 +682,7 @@ impl Simulator {
         self.try_admit(now);
     }
 
-    fn on_batch_end(&mut self, now: SimTime) {
+    fn on_batch_end<P: Protocol>(&mut self, p: &mut P, now: SimTime) {
         if std::env::var_os("CCSIM_DEBUG_STATES").is_some() {
             let mut counts = [0usize; 6];
             for t in self.arena.live() {
@@ -725,18 +716,7 @@ impl Simulator {
                 eprintln!("    disks: busy={busy} stalled={stalled} maxq={maxq} argmax={argmax}");
             }
         }
-        // Version chains only grow at commits; a batch boundary is a cheap,
-        // deterministic place to drop versions no live snapshot can reach.
-        if self.cfg.algorithm == CcAlgorithm::MvccSi {
-            let horizon = self
-                .arena
-                .live()
-                .filter(|t| t.state.is_active())
-                .map(|t| t.attempt_start)
-                .min()
-                .unwrap_or(now);
-            self.mvcc.prune_before(horizon);
-        }
+        p.on_batch_end(self, now);
         let (cpu_busy, io_busy) = self.busy_micros(now);
         if self.metrics.on_batch_end(now, cpu_busy, io_busy) {
             self.done = true;
@@ -746,6 +726,7 @@ impl Simulator {
         }
     }
 
+    #[inline(always)]
     fn on_delay_done(&mut self, term: usize, epoch: u32, kind: DelayKind, now: SimTime) {
         let Some(txn) = self.arena.get_mut(term) else {
             return;
@@ -770,7 +751,14 @@ impl Simulator {
     }
 
     /// A CPU or I/O service completed for `payload`.
-    fn service_done(&mut self, payload: Payload, kind: ServiceKind, now: SimTime) {
+    #[inline(always)]
+    fn service_done<P: Protocol>(
+        &mut self,
+        p: &mut P,
+        payload: Payload,
+        kind: ServiceKind,
+        now: SimTime,
+    ) {
         let (term, epoch) = payload;
         let Some(txn) = self.arena.get_mut(term) else {
             return;
@@ -798,49 +786,8 @@ impl Simulator {
             Step::ReadCpu(i) => {
                 debug_assert_eq!(kind, ServiceKind::Cpu);
                 txn.usage.add_cpu(params.obj_cpu);
-                let snapshot = txn.attempt_start;
                 self.arena.advance(term);
-                match self.cfg.algorithm {
-                    // Basic T/O records its reads at the timestamp-check
-                    // grant instead (the version is fixed there; a larger-
-                    // timestamp writer may legally publish between the
-                    // grant and this access completion).
-                    CcAlgorithm::BasicTO => {}
-                    // Silo validates its read set at commit against the
-                    // per-object TID words, so the observation instant is
-                    // needed whether or not history is recorded.
-                    CcAlgorithm::SiloOcc => {
-                        debug_assert_eq!(self.arena.read_times(term).len(), i);
-                        self.arena.push_read_time(term, now);
-                    }
-                    // TicToc reads a *version* — identified by its write
-                    // timestamp — not an instant; validation needs the
-                    // whole observed word (the `rts` bound is what lets a
-                    // superseded read still commit in the past), and the
-                    // history records the wts.
-                    CcAlgorithm::TicToc => {
-                        let obj = self.arena.read_at(term, i);
-                        let observed = self.tictoc.word(obj);
-                        debug_assert_eq!(self.arena.read_times(term).len(), i);
-                        self.arena.push_read_obs(term, observed.wts, observed.rts);
-                    }
-                    // Snapshot isolation reads as of the attempt start:
-                    // recording that instant makes the history checker's
-                    // "last writer committed at or before read time" rule
-                    // derive exactly the snapshot's version.
-                    CcAlgorithm::MvccSi => {
-                        if self.history.is_some() {
-                            debug_assert_eq!(self.arena.read_times(term).len(), i);
-                            self.arena.push_read_time(term, snapshot);
-                        }
-                    }
-                    _ => {
-                        if self.history.is_some() {
-                            debug_assert_eq!(self.arena.read_times(term).len(), i);
-                            self.arena.push_read_time(term, now);
-                        }
-                    }
-                }
+                p.observe_read(self, term, i, now);
                 self.work.push_back((term, epoch));
             }
             Step::WriteCpu(_) => {
@@ -859,6 +806,7 @@ impl Simulator {
     // Admission and the step interpreter
     // ------------------------------------------------------------------
 
+    #[inline(always)]
     fn try_admit(&mut self, now: SimTime) {
         while self.active < self.cfg.params.mpl as usize {
             let Some(term) = self.ready.pop_front() else {
@@ -878,47 +826,30 @@ impl Simulator {
 
     /// Drive `term`'s transaction forward until it needs to wait for a
     /// service, delay, or lock — or finishes.
-    fn dispatch(&mut self, term: usize, now: SimTime) {
+    #[inline(always)]
+    fn dispatch<P: Protocol>(&mut self, p: &mut P, term: usize, now: SimTime) {
         loop {
             let txn = self.arena.get(term).expect("dispatched txn exists");
             debug_assert_eq!(txn.state, TxnState::Running);
             let epoch = txn.epoch;
             match txn.step() {
-                Step::PreclaimLock(k) => {
-                    let (obj, write) = self.arena.lock_plan_at(term, k);
+                step @ (Step::PreclaimLock(_) | Step::LockRead(_) | Step::LockWrite(_)) => {
+                    let (obj, write) = match step {
+                        Step::PreclaimLock(k) => self.arena.lock_plan_at(term, k),
+                        Step::LockRead(i) => (self.arena.read_at(term, i), false),
+                        Step::LockWrite(j) => (self.arena.write_obj_at(term, j), true),
+                        _ => unreachable!(),
+                    };
                     let mode = if write {
                         LockMode::Write
                     } else {
                         LockMode::Read
                     };
-                    // Start pulling the object's index line in while the
-                    // request's CC-CPU bookkeeping runs (pure hint; no
-                    // behavioural effect).
-                    self.lockmgr.prefetch(obj);
-                    self.prof.switch(Stage::LockTable);
-                    let act = self.cc_request(term, obj, mode, now);
-                    self.prof.switch(Stage::Dispatch);
-                    match act {
-                        CcAction::Proceed => continue,
-                        CcAction::Suspend => return,
+                    if self.charge_cc_if_needed(term, now) {
+                        return;
                     }
-                }
-                Step::LockRead(i) => {
-                    let obj = self.arena.read_at(term, i);
-                    self.lockmgr.prefetch(obj);
                     self.prof.switch(Stage::LockTable);
-                    let act = self.cc_request(term, obj, LockMode::Read, now);
-                    self.prof.switch(Stage::Dispatch);
-                    match act {
-                        CcAction::Proceed => continue,
-                        CcAction::Suspend => return,
-                    }
-                }
-                Step::LockWrite(j) => {
-                    let obj = self.arena.write_obj_at(term, j);
-                    self.lockmgr.prefetch(obj);
-                    self.prof.switch(Stage::LockTable);
-                    let act = self.cc_request(term, obj, LockMode::Write, now);
+                    let act = p.request(self, term, obj, mode, now);
                     self.prof.switch(Stage::Dispatch);
                     match act {
                         CcAction::Proceed => continue,
@@ -963,15 +894,25 @@ impl Simulator {
                         return;
                     }
                     self.prof.switch(Stage::Validate);
-                    let act = self.validate(term, now);
-                    self.prof.switch(Stage::Dispatch);
-                    match act {
-                        CcAction::Proceed => continue,
-                        CcAction::Suspend => return,
+                    let certified = p.validate(self, term, now);
+                    let txn = self.arena.get_mut(term).expect("live txn");
+                    match certified {
+                        Ok(publish_at) => {
+                            txn.publish_at = publish_at;
+                            self.arena.advance(term);
+                            self.prof.switch(Stage::Dispatch);
+                        }
+                        Err(obj) => {
+                            let tid = txn.id;
+                            self.emit(now, TraceEvent::ValidationFailure(tid, obj));
+                            self.abort_and_restart(p, term, AbortCause::Validation, now);
+                            self.prof.switch(Stage::Dispatch);
+                            return;
+                        }
                     }
                 }
                 Step::Commit => {
-                    self.commit(term, now);
+                    self.commit(p, term, now);
                     return;
                 }
             }
@@ -980,6 +921,7 @@ impl Simulator {
 
     /// If `cc_cpu > 0` and this step's CC charge hasn't been paid, submit it
     /// (high priority, per the paper's CPU discipline) and return `true`.
+    #[inline(always)]
     fn charge_cc_if_needed(&mut self, term: usize, now: SimTime) -> bool {
         let cc_cpu = self.cfg.params.cc_cpu;
         if cc_cpu.is_zero() {
@@ -998,459 +940,36 @@ impl Simulator {
     }
 
     // ------------------------------------------------------------------
-    // Concurrency control
+    // Concurrency control: the engine side of the protocol hooks
     // ------------------------------------------------------------------
 
-    fn cc_request(&mut self, term: usize, obj: ObjId, mode: LockMode, now: SimTime) -> CcAction {
-        if self.charge_cc_if_needed(term, now) {
-            return CcAction::Suspend;
+    /// Resume `tid` if it is still its terminal's blocked attempt: mark it
+    /// running and queue it for dispatch. Returns its terminal.
+    #[inline(always)]
+    pub(crate) fn unblock(&mut self, tid: TxnId) -> Option<usize> {
+        let term = self.term_of(tid);
+        let txn = self.arena.get_mut(term).filter(|t| t.id == tid)?;
+        if txn.state != TxnState::Blocked {
+            return None;
         }
-        match self.cfg.algorithm {
-            // Static locking shares the blocking discipline; the canonical
-            // acquisition order makes its deadlock search a no-op.
-            CcAlgorithm::Blocking | CcAlgorithm::StaticLocking => {
-                self.cc_blocking(term, obj, mode, now)
-            }
-            CcAlgorithm::ImmediateRestart => {
-                self.cc_no_wait(term, obj, mode, now, AbortCause::Denial)
-            }
-            CcAlgorithm::NoWaiting => self.cc_no_wait(term, obj, mode, now, AbortCause::Denial),
-            CcAlgorithm::WaitDie => self.cc_wait_die(term, obj, mode, now),
-            CcAlgorithm::WoundWait => self.cc_wound_wait(term, obj, mode, now),
-            CcAlgorithm::BasicTO => self.cc_tso(term, obj, mode, now),
-            CcAlgorithm::Optimistic
-            | CcAlgorithm::NoCc
-            | CcAlgorithm::MvccSi
-            | CcAlgorithm::SiloOcc
-            | CcAlgorithm::TicToc => {
-                unreachable!("lock-free algorithms have no lock steps")
-            }
-        }
+        txn.state = TxnState::Running;
+        self.enqueue_dispatch(term);
+        Some(term)
     }
 
-    fn cc_blocking(&mut self, term: usize, obj: ObjId, mode: LockMode, now: SimTime) -> CcAction {
+    /// Park `term`'s transaction on `obj` (a queued lock request or a T/O
+    /// read waiting out a pending prewrite).
+    #[inline(always)]
+    pub(crate) fn block(&mut self, term: usize, obj: ObjId, now: SimTime) {
         let txn = self
             .arena
             .get_mut(term)
             .expect("terminal has no active transaction");
+        txn.state = TxnState::Blocked;
+        txn.blocks += 1;
         let tid = txn.id;
-        match self.lockmgr.request(tid, obj, mode) {
-            RequestOutcome::Granted => {
-                self.arena.advance(term);
-                self.emit(now, TraceEvent::Acquire(tid, obj, mode));
-                CcAction::Proceed
-            }
-            RequestOutcome::Queued => {
-                txn.state = TxnState::Blocked;
-                txn.blocks += 1;
-                self.metrics.on_block();
-                self.emit(now, TraceEvent::Block(tid, obj));
-                self.resolve_deadlocks(term, now);
-                CcAction::Suspend
-            }
-            RequestOutcome::Denied => unreachable!("request never denies"),
-        }
-    }
-
-    fn cc_no_wait(
-        &mut self,
-        term: usize,
-        obj: ObjId,
-        mode: LockMode,
-        now: SimTime,
-        cause: AbortCause,
-    ) -> CcAction {
-        let txn = self
-            .arena
-            .get_mut(term)
-            .expect("terminal has no active transaction");
-        let tid = txn.id;
-        match self.lockmgr.try_request(tid, obj, mode) {
-            RequestOutcome::Granted => {
-                self.arena.advance(term);
-                self.emit(now, TraceEvent::Acquire(tid, obj, mode));
-                CcAction::Proceed
-            }
-            RequestOutcome::Denied => {
-                self.abort_and_restart(term, cause, now);
-                CcAction::Suspend
-            }
-            RequestOutcome::Queued => unreachable!("try_request never queues"),
-        }
-    }
-
-    /// Wait-die: on conflict, an older requester waits; a younger one dies.
-    fn cc_wait_die(&mut self, term: usize, obj: ObjId, mode: LockMode, now: SimTime) -> CcAction {
-        let txn = self
-            .arena
-            .get(term)
-            .expect("terminal has no active transaction");
-        let tid = txn.id;
-        let my_ts = (txn.arrival, tid);
-        let mut blockers = std::mem::take(&mut self.blocker_buf);
-        self.lockmgr.blockers_into(tid, obj, mode, &mut blockers);
-        let older_exists = blockers.iter().any(|&b| self.timestamp_of(b) < my_ts);
-        blockers.clear();
-        self.blocker_buf = blockers;
-        if older_exists {
-            // Die: restart keeping the original timestamp (arrival survives
-            // restarts), which guarantees eventual progress.
-            self.abort_and_restart(term, AbortCause::Died, now);
-            return CcAction::Suspend;
-        }
-        let txn = self
-            .arena
-            .get_mut(term)
-            .expect("terminal has no active transaction");
-        match self.lockmgr.request(tid, obj, mode) {
-            RequestOutcome::Granted => {
-                self.arena.advance(term);
-                self.emit(now, TraceEvent::Acquire(tid, obj, mode));
-                CcAction::Proceed
-            }
-            RequestOutcome::Queued => {
-                txn.state = TxnState::Blocked;
-                txn.blocks += 1;
-                self.metrics.on_block();
-                self.emit(now, TraceEvent::Block(tid, obj));
-                CcAction::Suspend
-            }
-            RequestOutcome::Denied => unreachable!(),
-        }
-    }
-
-    /// Wound-wait: on conflict, an older requester wounds (aborts) younger
-    /// holders; a younger requester waits. Holders past their commit point
-    /// are spared (wounding them gains nothing).
-    fn cc_wound_wait(&mut self, term: usize, obj: ObjId, mode: LockMode, now: SimTime) -> CcAction {
-        let txn = self
-            .arena
-            .get(term)
-            .expect("terminal has no active transaction");
-        let tid = txn.id;
-        let my_ts = (txn.arrival, tid);
-        // Wound younger blockers one at a time, re-reading the blocker set
-        // after each abort: releasing a victim's locks can cascade (grants,
-        // further wounds) and retire other would-be victims.
-        let mut blockers = std::mem::take(&mut self.blocker_buf);
-        loop {
-            blockers.clear();
-            self.lockmgr.blockers_into(tid, obj, mode, &mut blockers);
-            let victim = blockers.iter().copied().find(|&b| {
-                let b_term = self.term_of(b);
-                self.arena.get(b_term).is_some_and(|bt| {
-                    bt.id == b
-                        && (bt.arrival, bt.id) > my_ts
-                        && bt.state.is_active()
-                        && !self.is_committing(b_term)
-                })
-            });
-            match victim {
-                Some(b) => {
-                    let b_term = self.term_of(b);
-                    self.abort_and_restart(b_term, AbortCause::Wounded, now);
-                }
-                None => break,
-            }
-        }
-        blockers.clear();
-        self.blocker_buf = blockers;
-        // A wound cascade can come full circle: releasing a victim's locks
-        // dispatches waiters, one of which may be older than *us* and wound
-        // us in turn. If that happened, our attempt is over.
-        let txn = self
-            .arena
-            .get_mut(term)
-            .expect("terminal has no active transaction");
-        if txn.id != tid || txn.state != TxnState::Running {
-            return CcAction::Suspend;
-        }
-        match self.lockmgr.request(tid, obj, mode) {
-            RequestOutcome::Granted => {
-                self.arena.advance(term);
-                self.emit(now, TraceEvent::Acquire(tid, obj, mode));
-                CcAction::Proceed
-            }
-            RequestOutcome::Queued => {
-                txn.state = TxnState::Blocked;
-                txn.blocks += 1;
-                self.metrics.on_block();
-                self.emit(now, TraceEvent::Block(tid, obj));
-                CcAction::Suspend
-            }
-            RequestOutcome::Denied => unreachable!(),
-        }
-    }
-
-    /// Basic timestamp ordering: reads/prewrites must respect timestamp
-    /// order; late operations restart with a fresh timestamp; readers wait
-    /// out pending smaller-timestamp prewrites.
-    fn cc_tso(&mut self, term: usize, obj: ObjId, mode: LockMode, now: SimTime) -> CcAction {
-        let txn = self
-            .arena
-            .get_mut(term)
-            .expect("terminal has no active transaction");
-        let tid = txn.id;
-        let ts = (txn.attempt_start, tid);
-        match mode {
-            LockMode::Read => match self.tso.read(tid, obj, ts) {
-                TsoRead::Granted => {
-                    self.arena.advance(term);
-                    if self.history.is_some() {
-                        // The version this read observes is decided *now*:
-                        // record the grant instant as the read time.
-                        self.arena.push_read_time(term, now);
-                    }
-                    CcAction::Proceed
-                }
-                TsoRead::Wait => {
-                    txn.state = TxnState::Blocked;
-                    txn.blocks += 1;
-                    self.metrics.on_block();
-                    self.emit(now, TraceEvent::Block(tid, obj));
-                    CcAction::Suspend
-                }
-                TsoRead::Reject => {
-                    self.emit(now, TraceEvent::TsRejected(tid, obj));
-                    self.abort_and_restart(term, AbortCause::TsRejected, now);
-                    CcAction::Suspend
-                }
-            },
-            LockMode::Write => match self.tso.prewrite(tid, obj, ts) {
-                TsoWrite::Granted => {
-                    self.arena.advance(term);
-                    CcAction::Proceed
-                }
-                TsoWrite::Reject => {
-                    self.emit(now, TraceEvent::TsRejected(tid, obj));
-                    self.abort_and_restart(term, AbortCause::TsRejected, now);
-                    CcAction::Suspend
-                }
-            },
-        }
-    }
-
-    /// Resume readers whose awaited prewrite resolved. Unlike lock grants,
-    /// the read is *re-checked* (not advanced past): the reader may wait
-    /// again on another pending prewrite, be granted, or reject.
-    fn process_tso_wakeups(&mut self, woken: Vec<TxnId>, now: SimTime) {
-        for w in woken {
-            let term = self.term_of(w);
-            let Some(txn) = self.arena.get_mut(term) else {
-                continue;
-            };
-            if txn.id != w || txn.state != TxnState::Blocked {
-                continue;
-            }
-            txn.state = TxnState::Running;
-            // A TSO wait only ever happens on a read step; report which
-            // object the reader resumes on. The re-check may block again.
-            let obj = match txn.step() {
-                Step::LockRead(i) => Some(self.arena.read_at(term, i)),
-                _ => None,
-            };
-            if let Some(obj) = obj {
-                self.emit(now, TraceEvent::Grant(w, obj, LockMode::Read));
-            }
-            self.enqueue_dispatch(term);
-        }
-    }
-
-    /// The commit-point test (a no-op for locking algorithms).
-    fn validate(&mut self, term: usize, now: SimTime) -> CcAction {
-        match self.cfg.algorithm {
-            CcAlgorithm::Optimistic => self.validate_kung_robinson(term, now),
-            CcAlgorithm::MvccSi => self.validate_mvcc(term, now),
-            CcAlgorithm::SiloOcc => self.validate_silo(term, now),
-            CcAlgorithm::TicToc => self.validate_tictoc(term, now),
-            _ => {
-                self.arena.advance(term);
-                CcAction::Proceed
-            }
-        }
-    }
-
-    /// Classic optimistic CC: serial validation against every commit since
-    /// the attempt started.
-    fn validate_kung_robinson(&mut self, term: usize, now: SimTime) -> CcAction {
-        let txn = self
-            .arena
-            .get(term)
-            .expect("terminal has no active transaction");
-        let tid = txn.id;
-        let start = txn.attempt_start;
-        let outcome = self.validator.validate(start, self.arena.reads(term));
-        if let Err(conflict) = outcome {
-            self.emit(now, TraceEvent::ValidationFailure(tid, conflict.obj));
-            self.abort_and_restart(term, AbortCause::Validation, now);
-            return CcAction::Suspend;
-        }
-        {
-            // Kung–Robinson critical section: stamp writes at validation.
-            // Borrowing the writeset straight out of the arena (disjoint
-            // fields) avoids a per-commit Vec clone on the optimistic hot
-            // path.
-            self.validator
-                .commit(now, self.arena.write_objs(term).iter().copied());
-            let txn = self
-                .arena
-                .get_mut(term)
-                .expect("terminal has no active transaction");
-            txn.publish_at = Some(now);
-            self.arena.advance(term);
-            CcAction::Proceed
-        }
-    }
-
-    /// Snapshot isolation: first-committer-wins over the write set only
-    /// (reads came from the attempt-start snapshot and need no check).
-    fn validate_mvcc(&mut self, term: usize, now: SimTime) -> CcAction {
-        let txn = self
-            .arena
-            .get(term)
-            .expect("terminal has no active transaction");
-        let tid = txn.id;
-        let start = txn.attempt_start;
-        match self
-            .mvcc
-            .check_and_install(start, now, tid, self.arena.write_objs(term))
-        {
-            Err(conflict) => {
-                self.emit(now, TraceEvent::ValidationFailure(tid, conflict.obj));
-                self.abort_and_restart(term, AbortCause::Validation, now);
-                CcAction::Suspend
-            }
-            Ok(_installed) => {
-                let txn = self
-                    .arena
-                    .get_mut(term)
-                    .expect("terminal has no active transaction");
-                txn.publish_at = Some(now);
-                self.arena.advance(term);
-                CcAction::Proceed
-            }
-        }
-    }
-
-    /// Silo-style epoch OCC: the read set is re-checked against per-object
-    /// TID words; an unchanged read set commits and bumps the words.
-    fn validate_silo(&mut self, term: usize, now: SimTime) -> CcAction {
-        let txn = self
-            .arena
-            .get(term)
-            .expect("terminal has no active transaction");
-        let tid = txn.id;
-        let mut scratch = std::mem::take(&mut self.rw_scratch);
-        scratch.clear();
-        scratch.extend(
-            self.arena
-                .reads(term)
-                .iter()
-                .copied()
-                .zip(self.arena.read_times(term).iter().copied()),
-        );
-        let outcome = self.silo.validate(&scratch);
-        self.rw_scratch = scratch;
-        if let Err(conflict) = outcome {
-            self.emit(now, TraceEvent::ValidationFailure(tid, conflict.obj));
-            self.abort_and_restart(term, AbortCause::Validation, now);
-            return CcAction::Suspend;
-        }
-        self.silo
-            .commit(now, self.arena.write_objs(term).iter().copied());
-        let txn = self
-            .arena
-            .get_mut(term)
-            .expect("terminal has no active transaction");
-        txn.publish_at = Some(now);
-        self.arena.advance(term);
-        CcAction::Proceed
-    }
-
-    /// TicToc: derive a commit timestamp covering every read version and
-    /// landing after every read extension of the written objects, instead
-    /// of rejecting on physical-time conflicts.
-    fn validate_tictoc(&mut self, term: usize, now: SimTime) -> CcAction {
-        let txn = self
-            .arena
-            .get(term)
-            .expect("terminal has no active transaction");
-        let tid = txn.id;
-        let mut scratch = std::mem::take(&mut self.tt_scratch);
-        scratch.clear();
-        scratch.extend(
-            self.arena
-                .reads(term)
-                .iter()
-                .zip(self.arena.read_times(term))
-                .zip(self.arena.read_auxes(term))
-                .map(|((&obj, &wts), &rts)| (obj, TtWord { wts, rts })),
-        );
-        let outcome = self
-            .tictoc
-            .validate_and_commit(&scratch, self.arena.write_objs(term));
-        self.tt_scratch = scratch;
-        match outcome {
-            Err(conflict) => {
-                self.emit(now, TraceEvent::ValidationFailure(tid, conflict.obj));
-                self.abort_and_restart(term, AbortCause::Validation, now);
-                CcAction::Suspend
-            }
-            Ok(commit_ts) => {
-                let txn = self
-                    .arena
-                    .get_mut(term)
-                    .expect("terminal has no active transaction");
-                // The *logical* commit instant: the history records it so
-                // the serializability check follows TicToc's timestamp
-                // order rather than physical validation order.
-                txn.publish_at = Some(commit_ts);
-                self.arena.advance(term);
-                CcAction::Proceed
-            }
-        }
-    }
-
-    /// Detect and break deadlocks after `term` blocked, until `term` is no
-    /// longer blocked or no cycle remains.
-    fn resolve_deadlocks(&mut self, term: usize, now: SimTime) {
-        loop {
-            let txn = self
-                .arena
-                .get(term)
-                .expect("terminal has no active transaction");
-            if txn.state != TxnState::Blocked {
-                return;
-            }
-            let Some(cycle) = self.lockmgr.find_deadlock(txn.id) else {
-                return;
-            };
-            let victim = self.choose_victim(&cycle);
-            let victim_term = self.term_of(victim);
-            let detector = self
-                .arena
-                .get(term)
-                .expect("terminal has no active transaction")
-                .id;
-            self.emit(now, TraceEvent::Deadlock { detector, victim });
-            self.abort_and_restart(victim_term, AbortCause::Deadlock, now);
-        }
-    }
-
-    fn choose_victim(&self, cycle: &[TxnId]) -> TxnId {
-        let key = |tid: &TxnId| {
-            let t = self.arena.get(self.term_of(*tid)).expect("cycle txn");
-            debug_assert_eq!(t.id, *tid);
-            (t.arrival, t.id)
-        };
-        match self.cfg.victim {
-            VictimPolicy::Youngest => *cycle.iter().max_by_key(|t| key(t)).expect("cycle"),
-            VictimPolicy::Oldest => *cycle.iter().min_by_key(|t| key(t)).expect("cycle"),
-            VictimPolicy::FewestLocks => *cycle
-                .iter()
-                .min_by_key(|t| (self.lockmgr.locks_held(**t), key(t)))
-                .expect("cycle"),
-        }
+        self.metrics.on_block();
+        self.emit(now, TraceEvent::Block(tid, obj));
     }
 
     // ------------------------------------------------------------------
@@ -1459,7 +978,13 @@ impl Simulator {
 
     /// Abort `term`'s current attempt and requeue it per the restart-delay
     /// policy.
-    fn abort_and_restart(&mut self, term: usize, cause: AbortCause, now: SimTime) {
+    pub(crate) fn abort_and_restart<P: Protocol>(
+        &mut self,
+        p: &mut P,
+        term: usize,
+        cause: AbortCause,
+        now: SimTime,
+    ) {
         let txn = self.arena.get_mut(term).expect("aborting live txn");
         debug_assert!(txn.state.is_active(), "victims are active");
         txn.restarts += 1;
@@ -1474,31 +999,15 @@ impl Simulator {
         self.active -= 1;
         self.metrics.on_active_change(now, self.active);
 
-        // Release locks (and any queued request); this may unblock others.
-        // The grant buffer is taken from (and later returned to) the
-        // simulator so release cascades never allocate in steady state.
-        let mut grants = std::mem::take(&mut self.grant_buf);
-        if self.cfg.algorithm.uses_locks() {
-            let held = self.lockmgr.locks_held(tid) as u32;
-            self.lockmgr.release_all_into(tid, &mut grants);
-            self.emit(now, TraceEvent::LocksReleased(tid, held));
-        }
-        // Basic T/O: drop prewrites and cancel a parked read; wake readers.
-        let tso_woken = if self.cfg.algorithm == CcAlgorithm::BasicTO {
-            let ts = (
-                self.arena
-                    .get(term)
-                    .expect("terminal has no active transaction")
-                    .attempt_start,
-                tid,
-            );
-            self.tso.abort(tid, ts)
-        } else {
-            Vec::new()
-        };
+        // Release the attempt's concurrency-control state; this may
+        // unblock others.
+        p.release(self, term, AttemptEnd::Abort, now);
 
         // Requeue per policy.
-        let delay = self.restart_delay_for(cause);
+        let delay = self.restart_delay_for(
+            P::restart_delay_applies(self.cfg.restart_delay_for_all),
+            cause,
+        );
         let txn = self
             .arena
             .get_mut(term)
@@ -1512,23 +1021,13 @@ impl Simulator {
             self.cal
                 .schedule(now + delay, Event::Delay(term, epoch, DelayKind::Restart));
         }
-
-        self.process_grants(&grants, now);
-        grants.clear();
-        self.grant_buf = grants;
-        self.process_tso_wakeups(tso_woken, now);
         self.try_admit(now);
     }
 
-    /// The delay to apply before re-queueing a restarted transaction.
-    fn restart_delay_for(&mut self, cause: AbortCause) -> SimDuration {
-        let applies = match self.cfg.algorithm {
-            // No-waiting is immediate-restart *without* the delay — that is
-            // its defining difference, so the Fig. 11 flag does not apply.
-            CcAlgorithm::NoWaiting => false,
-            CcAlgorithm::ImmediateRestart => true,
-            _ => self.cfg.restart_delay_for_all,
-        };
+    /// The delay to apply before re-queueing a restarted transaction;
+    /// `applies` is the protocol's [`Protocol::restart_delay_applies`].
+    #[inline(always)]
+    fn restart_delay_for(&mut self, applies: bool, cause: AbortCause) -> SimDuration {
         let mut delay = if applies {
             match self.cfg.params.restart_delay {
                 RestartDelayPolicy::None => SimDuration::ZERO,
@@ -1566,7 +1065,7 @@ impl Simulator {
         delay
     }
 
-    fn commit(&mut self, term: usize, now: SimTime) {
+    fn commit<P: Protocol>(&mut self, p: &mut P, term: usize, now: SimTime) {
         let txn = self.arena.get_mut(term).expect("committing live txn");
         debug_assert_eq!(txn.state, TxnState::Running);
         let tid = txn.id;
@@ -1594,13 +1093,6 @@ impl Simulator {
         }
 
         self.emit(now, TraceEvent::Commit(tid));
-        if self.cfg.algorithm == CcAlgorithm::MvccSi {
-            // The versions were installed at validation; announcing them at
-            // the commit event gives the auditor a conservation obligation
-            // to discharge (every MVCC commit accounts for its writes).
-            let installed = self.arena.write_objs(term).len() as u32;
-            self.emit(now, TraceEvent::VersionInstalled(tid, installed));
-        }
         self.resp_avg.observe(response);
         self.metrics
             .on_commit(class, response, usage.cpu_us, usage.io_us);
@@ -1608,75 +1100,23 @@ impl Simulator {
         self.active -= 1;
         self.metrics.on_active_change(now, self.active);
 
-        // Strict 2PL: locks released after the deferred updates, i.e. here.
-        let leak = self.take_lock_leak();
-        let mut grants = std::mem::take(&mut self.grant_buf);
-        if self.cfg.algorithm.uses_locks() && !leak {
-            let held = self.lockmgr.locks_held(tid) as u32;
-            self.lockmgr.release_all_into(tid, &mut grants);
-            self.emit(now, TraceEvent::LocksReleased(tid, held));
-        }
-        let tso_woken = if self.cfg.algorithm == CcAlgorithm::BasicTO {
-            let ts = (
-                self.arena
-                    .get(term)
-                    .expect("terminal has no active transaction")
-                    .attempt_start,
-                tid,
-            );
-            let (woken, applied) = self.tso.commit(tid, ts);
-            // The Thomas write rule may have skipped stale writes: only the
-            // applied ones were published (fix the history record).
-            if let Some(history) = self.history.as_mut() {
-                if let Some(last) = history.txns().last() {
-                    debug_assert_eq!(last.id, tid);
-                }
-                history.amend_last_writes(&applied);
-            }
-            woken
-        } else {
-            Vec::new()
-        };
+        // Strict 2PL: locks are released after the deferred updates, i.e.
+        // here.
+        p.release(self, term, AttemptEnd::Commit, now);
 
         // The terminal starts thinking about its next transaction.
         self.prof.switch(Stage::Variate);
         let think = self.ext_think.sample(&mut self.think_rng);
         self.prof.switch(Stage::Dispatch);
         self.cal.schedule(now + think, Event::Arrive(term));
-
-        self.process_grants(&grants, now);
-        grants.clear();
-        self.grant_buf = grants;
-        self.process_tso_wakeups(tso_woken, now);
         self.try_admit(now);
-    }
-
-    /// Resume transactions whose queued lock requests were just granted.
-    fn process_grants(&mut self, grants: &[Grant], now: SimTime) {
-        for &g in grants {
-            let term = self.term_of(g.txn);
-            let Some(txn) = self.arena.get_mut(term) else {
-                continue;
-            };
-            if txn.id != g.txn {
-                continue;
-            }
-            debug_assert_eq!(txn.state, TxnState::Blocked);
-            debug_assert!(matches!(
-                txn.step(),
-                Step::PreclaimLock(_) | Step::LockRead(_) | Step::LockWrite(_)
-            ));
-            txn.state = TxnState::Running;
-            self.arena.advance(term);
-            self.emit(now, TraceEvent::Grant(g.txn, g.obj, g.mode));
-            self.enqueue_dispatch(term);
-        }
     }
 
     // ------------------------------------------------------------------
     // Resource access
     // ------------------------------------------------------------------
 
+    #[inline(always)]
     fn submit_cpu(
         &mut self,
         term: usize,
@@ -1723,6 +1163,7 @@ impl Simulator {
         }
     }
 
+    #[inline(always)]
     fn submit_io(&mut self, term: usize, obj: ObjId, epoch: u32, now: SimTime) {
         let _ = obj;
         let dur = self.cfg.params.obj_io;
@@ -1783,7 +1224,7 @@ impl Simulator {
     /// this is one predicted-not-taken branch; whether anything observes
     /// the run must never influence the simulation itself.
     #[inline]
-    fn emit(&mut self, now: SimTime, event: TraceEvent) {
+    pub(crate) fn emit(&mut self, now: SimTime, event: TraceEvent) {
         if !self.observed {
             return;
         }
@@ -1800,23 +1241,10 @@ impl Simulator {
         }
     }
 
-    fn term_of(&self, tid: TxnId) -> usize {
+    /// The terminal a transaction id belongs to (ids are numbered
+    /// `serial * num_terms + terminal`; see `on_arrive`).
+    pub(crate) fn term_of(&self, tid: TxnId) -> usize {
         (tid.0 % self.arena.num_terms() as u64) as usize
-    }
-
-    fn timestamp_of(&self, tid: TxnId) -> (SimTime, TxnId) {
-        let t = self.arena.get(self.term_of(tid)).expect("live txn");
-        debug_assert_eq!(t.id, tid);
-        (t.arrival, t.id)
-    }
-
-    /// Past the commit point (validation) — only deferred updates remain.
-    fn is_committing(&self, term: usize) -> bool {
-        let txn = self
-            .arena
-            .get(term)
-            .expect("terminal has no active transaction");
-        matches!(txn.step(), Step::UpdateIo(_) | Step::Commit)
     }
 
     /// Current parameters (for inspection in tests/examples).
@@ -1910,6 +1338,7 @@ pub fn run_collecting(cfg: SimConfig) -> Result<RunOutcome, RunError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::VictimPolicy;
     use crate::config::MetricsConfig;
 
     fn quick_cfg(algo: CcAlgorithm) -> SimConfig {
@@ -1937,6 +1366,21 @@ mod tests {
                 report.response_time_mean > 0.4,
                 "{algo} impossibly fast responses: {}",
                 report.response_time_mean
+            );
+        }
+    }
+
+    #[test]
+    fn lock_table_is_used_exactly_by_the_algorithms_that_declare_locks() {
+        // The auditor and ccbench read `uses_locks`; the engine's protocols
+        // decide for themselves. A contended run keeps the two in step.
+        for algo in CcAlgorithm::ALL.into_iter().chain([CcAlgorithm::NoCc]) {
+            let (_, perf) = run_with_perf(quick_cfg(algo)).expect("valid config");
+            assert_eq!(
+                perf.peak_lock_table > 0,
+                algo.uses_locks(),
+                "{algo}: peak lock table {}",
+                perf.peak_lock_table
             );
         }
     }

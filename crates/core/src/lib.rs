@@ -32,6 +32,7 @@ mod config;
 mod engine;
 mod metrics;
 mod profiler;
+mod protocol;
 mod sink;
 mod trace;
 mod txn;

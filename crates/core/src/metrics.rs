@@ -115,6 +115,9 @@ impl Metrics {
     /// Record a commit: its transaction class, response time, and the
     /// committing attempt's resource usage (which thereby becomes *useful*
     /// work).
+    ///
+    /// Always inlined into each protocol's copy of the event loop.
+    #[inline(always)]
     pub fn on_commit(
         &mut self,
         class: usize,

@@ -464,6 +464,10 @@ impl<E> Calendar<E> {
     /// `seq` is assigned at schedule time regardless of tier, so same-time
     /// events keep strict FIFO order even when one sits in the lane and
     /// the other in the heap.
+    ///
+    /// Always inlined: the simulator compiles its event loop once per
+    /// concurrency control protocol, and each copy pops once per event.
+    #[inline(always)]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let lane = self.lane_min();
         let heap = self.heap_peek_key();

@@ -92,6 +92,9 @@ impl<T> DiskArray<T> {
     /// storing a payload (the uncontended fast path; retire with
     /// [`DiskArray::complete_direct`]). Returns `None` — submitting
     /// nothing — when the disk is busy.
+    ///
+    /// Always inlined, like [`crate::ServerPool::try_submit_direct`].
+    #[inline(always)]
     pub fn try_submit_direct(
         &mut self,
         now: SimTime,

@@ -174,6 +174,10 @@ impl<T> ServerPool<T> {
     /// queue (work only queues when every server is busy), so starting here
     /// touches neither the queue nor its clock — the accounting is
     /// identical to [`ServerPool::submit`] on a free server.
+    ///
+    /// Always inlined: the simulator's event loop, compiled once per
+    /// concurrency control protocol, takes this path on most submits.
+    #[inline(always)]
     pub fn try_submit_direct(&mut self, now: SimTime, duration: SimDuration) -> Option<Started> {
         let server = self.free.pop()?;
         debug_assert_eq!(self.queue_len(), 0, "free server with a non-empty queue");

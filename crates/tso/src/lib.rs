@@ -99,8 +99,8 @@ impl TsoManager {
     /// Request a read of `obj` at timestamp `ts` for `txn`.
     ///
     /// A [`ReadOutcome::Wait`] parks the reader; it is returned by the
-    /// wake-up lists of [`TsoManager::commit`] / [`TsoManager::abort`] and
-    /// must then re-issue the read.
+    /// wake-up lists of [`TsoManager::commit_into`] /
+    /// [`TsoManager::abort_into`] and must then re-issue the read.
     pub fn read(&mut self, txn: TxnId, obj: ObjId, ts: Ts) -> ReadOutcome {
         let state = self.objects.entry(obj).or_default();
         if state.wts.is_some_and(|w| w > ts) {
@@ -139,12 +139,18 @@ impl TsoManager {
 
     /// Commit `txn` at timestamp `ts`: apply its buffered writes (Thomas
     /// write rule skips stale ones) and wake readers that were parked on
-    /// them. Returns `(woken_readers, applied_writes)` — applied writes are
-    /// the objects whose committed version this transaction now owns.
-    pub fn commit(&mut self, txn: TxnId, ts: Ts) -> (Vec<TxnId>, Vec<ObjId>) {
+    /// them. The woken readers are appended to `woken` and the applied
+    /// writes — the objects whose committed version this transaction now
+    /// owns — to `applied`; existing contents are untouched, so callers
+    /// reuse both buffers across commits.
+    pub fn commit_into(
+        &mut self,
+        txn: TxnId,
+        ts: Ts,
+        woken: &mut Vec<TxnId>,
+        applied: &mut Vec<ObjId>,
+    ) {
         let objs = self.prewrites.remove(&txn).unwrap_or_default();
-        let mut woken = Vec::new();
-        let mut applied = Vec::new();
         for obj in objs {
             let state = self
                 .objects
@@ -165,13 +171,12 @@ impl TsoManager {
                 self.objects.remove(&obj);
             }
         }
-        (woken, applied)
     }
 
     /// Abort `txn`'s attempt with timestamp `ts`: drop its prewrites and
-    /// cancel its parked read (if any). Returns the readers to wake.
-    pub fn abort(&mut self, txn: TxnId, ts: Ts) -> Vec<TxnId> {
-        let mut woken = Vec::new();
+    /// cancel its parked read (if any). The readers to wake are appended to
+    /// `woken` (existing contents are untouched).
+    pub fn abort_into(&mut self, txn: TxnId, ts: Ts, woken: &mut Vec<TxnId>) {
         if let Some(obj) = self.parked.remove(&txn) {
             if let Some(state) = self.objects.get_mut(&obj) {
                 state.waiting.retain(|&t| t != txn);
@@ -187,7 +192,6 @@ impl TsoManager {
                 woken.push(reader);
             }
         }
-        woken
     }
 
     /// The object a transaction is parked on, if any.
@@ -394,13 +398,25 @@ mod tests {
     fn t(v: u64) -> TxnId {
         TxnId(v)
     }
+    /// `(woken, applied)` of one commit, into fresh buffers.
+    fn commit(m: &mut TsoManager, txn: TxnId, ts: Ts) -> (Vec<TxnId>, Vec<ObjId>) {
+        let (mut woken, mut applied) = (Vec::new(), Vec::new());
+        m.commit_into(txn, ts, &mut woken, &mut applied);
+        (woken, applied)
+    }
+    /// The readers one abort wakes, into a fresh buffer.
+    fn abort(m: &mut TsoManager, txn: TxnId, ts: Ts) -> Vec<TxnId> {
+        let mut woken = Vec::new();
+        m.abort_into(txn, ts, &mut woken);
+        woken
+    }
 
     #[test]
     fn reads_and_writes_in_timestamp_order_flow_through() {
         let mut m = TsoManager::new();
         assert_eq!(m.read(t(1), o(1), ts(1, 1)), ReadOutcome::Granted);
         assert_eq!(m.prewrite(t(2), o(1), ts(2, 2)), WriteOutcome::Granted);
-        let (woken, applied) = m.commit(t(2), ts(2, 2));
+        let (woken, applied) = commit(&mut m, t(2), ts(2, 2));
         assert!(woken.is_empty());
         assert_eq!(applied, vec![o(1)]);
         assert_eq!(m.read(t(3), o(1), ts(3, 3)), ReadOutcome::Granted);
@@ -411,7 +427,7 @@ mod tests {
     fn late_read_is_rejected() {
         let mut m = TsoManager::new();
         m.prewrite(t(2), o(1), ts(5, 2));
-        m.commit(t(2), ts(5, 2));
+        commit(&mut m, t(2), ts(5, 2));
         assert_eq!(m.read(t(1), o(1), ts(3, 1)), ReadOutcome::Reject);
         assert_eq!(m.counters().0, 1);
     }
@@ -427,7 +443,7 @@ mod tests {
     fn late_write_is_rejected_by_committed_write() {
         let mut m = TsoManager::new();
         m.prewrite(t(9), o(1), ts(9, 9));
-        m.commit(t(9), ts(9, 9));
+        commit(&mut m, t(9), ts(9, 9));
         assert_eq!(m.prewrite(t(1), o(1), ts(3, 1)), WriteOutcome::Reject);
     }
 
@@ -439,7 +455,7 @@ mod tests {
         assert_eq!(m.parked_on(t(5)), Some(o(1)));
         m.assert_consistent();
         // The writer commits: the reader wakes and its retry is granted.
-        let (woken, _) = m.commit(t(1), ts(1, 1));
+        let (woken, _) = commit(&mut m, t(1), ts(1, 1));
         assert_eq!(woken, vec![t(5)]);
         assert_eq!(m.parked_on(t(5)), None);
         assert_eq!(m.read(t(5), o(1), ts(5, 5)), ReadOutcome::Granted);
@@ -458,7 +474,7 @@ mod tests {
         let mut m = TsoManager::new();
         m.prewrite(t(1), o(1), ts(1, 1));
         assert_eq!(m.read(t(5), o(1), ts(5, 5)), ReadOutcome::Wait);
-        let woken = m.abort(t(1), ts(1, 1));
+        let woken = abort(&mut m, t(1), ts(1, 1));
         assert_eq!(woken, vec![t(5)]);
         assert_eq!(m.read(t(5), o(1), ts(5, 5)), ReadOutcome::Granted);
         m.assert_consistent();
@@ -470,10 +486,10 @@ mod tests {
         m.prewrite(t(1), o(1), ts(1, 1));
         m.prewrite(t(2), o(1), ts(2, 2));
         // The younger write commits first...
-        let (_, applied) = m.commit(t(2), ts(2, 2));
+        let (_, applied) = commit(&mut m, t(2), ts(2, 2));
         assert_eq!(applied, vec![o(1)]);
         // ...so the older one is skipped at its commit.
-        let (_, applied) = m.commit(t(1), ts(1, 1));
+        let (_, applied) = commit(&mut m, t(1), ts(1, 1));
         assert!(applied.is_empty(), "stale write must be skipped");
         // And readers between the two timestamps now reject.
         assert_eq!(
@@ -489,9 +505,9 @@ mod tests {
         assert_eq!(m.read(t(5), o(1), ts(5, 5)), ReadOutcome::Wait);
         // The *reader* aborts (e.g. wounded elsewhere): its parking is
         // cancelled, and the writer's later commit wakes nobody.
-        let woken = m.abort(t(5), ts(5, 5));
+        let woken = abort(&mut m, t(5), ts(5, 5));
         assert!(woken.is_empty());
-        let (woken, _) = m.commit(t(1), ts(1, 1));
+        let (woken, _) = commit(&mut m, t(1), ts(1, 1));
         assert!(woken.is_empty());
         m.assert_consistent();
     }
@@ -502,9 +518,24 @@ mod tests {
         m.prewrite(t(1), o(1), ts(1, 1));
         assert_eq!(m.read(t(5), o(1), ts(5, 5)), ReadOutcome::Wait);
         assert_eq!(m.read(t(6), o(1), ts(6, 6)), ReadOutcome::Wait);
-        let (mut woken, _) = m.commit(t(1), ts(1, 1));
+        let (mut woken, _) = commit(&mut m, t(1), ts(1, 1));
         woken.sort();
         assert_eq!(woken, vec![t(5), t(6)]);
+    }
+
+    #[test]
+    fn wakeup_buffers_are_appended_to() {
+        let mut m = TsoManager::new();
+        let (mut woken, mut applied) = (vec![t(99)], vec![o(99)]);
+        m.prewrite(t(1), o(1), ts(1, 1));
+        assert_eq!(m.read(t(5), o(1), ts(5, 5)), ReadOutcome::Wait);
+        m.commit_into(t(1), ts(1, 1), &mut woken, &mut applied);
+        assert_eq!((woken, applied), (vec![t(99), t(5)], vec![o(99), o(1)]));
+        let mut woken = vec![t(99)];
+        m.prewrite(t(2), o(2), ts(2, 2));
+        assert_eq!(m.read(t(6), o(2), ts(6, 6)), ReadOutcome::Wait);
+        m.abort_into(t(2), ts(2, 2), &mut woken);
+        assert_eq!(woken, vec![t(99), t(6)]);
     }
 
     #[test]
@@ -520,7 +551,7 @@ mod tests {
     fn counters_track() {
         let mut m = TsoManager::new();
         m.prewrite(t(1), o(1), ts(5, 1));
-        m.commit(t(1), ts(5, 1));
+        commit(&mut m, t(1), ts(5, 1));
         m.read(t(2), o(1), ts(1, 2)); // reject
         m.prewrite(t(3), o(2), ts(1, 3));
         m.read(t(4), o(2), ts(9, 4)); // wait

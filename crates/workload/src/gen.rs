@@ -111,6 +111,10 @@ impl Generator {
     /// the passed buffers (cleared first) so a caller that retires one
     /// transaction per draw can recycle its allocations. Consumes identical
     /// randomness.
+    ///
+    /// Always inlined: the simulator's event loop, compiled once per
+    /// concurrency control protocol, draws one spec per arrival.
+    #[inline(always)]
     pub fn next_spec_with_class_reusing(
         &mut self,
         mut reads: Vec<ObjId>,
